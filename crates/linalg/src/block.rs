@@ -7,7 +7,9 @@
 //! instead of once per column. [`block_pcg_solve`] runs k interleaved PCG
 //! iterations over a column-major [`DenseBlock`], feeding every active
 //! column from shared operator sweeps ([`crate::ops::LinearOperator::apply_block`],
-//! [`crate::cg::Preconditioner::apply_block`]).
+//! [`crate::cg::Preconditioner::apply_dot_block`]). A solo solve
+//! ([`crate::cg::pcg_solve`]) is the k = 1 block, so this is the only
+//! production PCG loop.
 //!
 //! # Masking
 //!
@@ -18,14 +20,15 @@
 //!
 //! # Bitwise contract
 //!
-//! Every column of a block solve is **bitwise identical** to running
-//! [`crate::cg::pcg_solve`] on that column alone, at any `HICOND_THREADS`
-//! cap and jitter seed. This holds because the engine performs, per column,
-//! exactly the fused solver's operation sequence on that column's contiguous
-//! slice: the same kernels ([`dot_with_scratch`], [`fused_update_x_r`],
-//! [`xpby`]) with the same length-only chunk geometry, and block operator
-//! applies whose per-column output is contractually bitwise equal to the
-//! single-vector apply. Interleaving columns reorders *between* columns,
+//! Every column of a block solve is **bitwise identical** to running the
+//! textbook [`crate::cg::pcg_solve_unfused`] on that column alone, at any
+//! `HICOND_THREADS` cap and jitter seed. This holds because the engine
+//! performs, per column, the textbook operation sequence on that column's
+//! contiguous slice: the same kernels ([`dot_with_scratch`], [`xpby`]) or
+//! fused twins with the same per-element arithmetic ([`fused_update_x_r`],
+//! the preconditioners' `apply_dot_into`), the same length-only chunk
+//! geometry, and block operator applies whose per-column output is
+//! contractually bitwise equal to the single-vector apply. Interleaving columns reorders *between* columns,
 //! never *within* one — no arithmetic crosses columns, so each column's
 //! floating-point stream is unchanged. `tests/block_pcg.rs` holds the
 //! engine to this.
@@ -107,43 +110,6 @@ impl DenseBlock {
         &mut self.data[j * self.n..(j + 1) * self.n]
     }
 
-    /// Mutable slices for a sorted, unique subset of columns — the shape
-    /// the block operator kernels consume (disjoint `&mut` column views
-    /// extracted in one pass, no unsafe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not strictly increasing or indexes past `k`.
-    pub fn cols_mut_subset(&mut self, idx: &[usize]) -> Vec<&mut [f64]> {
-        let mut out = Vec::with_capacity(idx.len());
-        if self.n == 0 {
-            for w in idx.windows(2) {
-                assert!(w[0] < w[1], "DenseBlock: column subset must be sorted");
-            }
-            if let Some(&last) = idx.last() {
-                assert!(last < self.k, "DenseBlock: column {last} out of {}", self.k);
-            }
-            out.resize_with(idx.len(), Default::default);
-            return out;
-        }
-        let mut want = idx.iter().peekable();
-        for (j, col) in self.data.chunks_mut(self.n).enumerate() {
-            match want.peek() {
-                Some(&&w) if w == j => {
-                    out.push(col);
-                    want.next();
-                }
-                Some(&&w) => assert!(w > j, "DenseBlock: column subset must be sorted"),
-                None => break,
-            }
-        }
-        assert!(
-            want.peek().is_none(),
-            "DenseBlock: column subset index out of range"
-        );
-        out
-    }
-
     /// Consumes the block into its k columns.
     pub fn into_columns(mut self) -> Vec<Vec<f64>> {
         let mut out = Vec::with_capacity(self.k);
@@ -153,33 +119,44 @@ impl DenseBlock {
         }
         out
     }
+}
 
-    /// Copies column `j` of `src` into column `j` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or `j` is out of range.
-    pub fn copy_col_from(&mut self, j: usize, src: &DenseBlock) {
-        assert_eq!(self.n, src.n, "DenseBlock: column length mismatch");
-        self.col_mut(j).copy_from_slice(src.col(j));
-    }
+/// Interned flight-recorder name for residual-decade milestones, resolved
+/// once per process so the hot loop never touches the intern mutex.
+fn residual_milestone_id() -> u32 {
+    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
+    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
 }
 
 /// Block PCG for `A X = B`, k right-hand sides at once, starting from
 /// `X = 0`. Returns one [`CgResult`] per column, index-aligned with the
-/// columns of `b`.
+/// columns of `b`. This is the workspace's only production PCG loop:
+/// [`crate::cg::pcg_solve`] is its k = 1 case.
 ///
 /// Per iteration the engine performs **one** operator sweep
-/// ([`LinearOperator::apply_block`]) and **one** preconditioner sweep
-/// ([`Preconditioner::apply_block`]) over the active columns, then the
-/// per-column scalar recurrences. Columns that converge, hit `max_iter`,
-/// or break down numerically freeze and drop out of subsequent sweeps.
+/// ([`LinearOperator::apply_block`]) and **one** fused preconditioner
+/// sweep ([`Preconditioner::apply_dot_block`], which also yields each
+/// column's `rᵀz`) over the active columns, then the per-column scalar
+/// recurrences, with `x += αp`, `r −= α·Ap` and `‖r‖²` in one pass
+/// ([`fused_update_x_r`]). Columns that converge, hit `max_iter`, or
+/// break down numerically freeze and drop out of subsequent sweeps.
 ///
 /// Every column's outputs (`x`, `iterations`, `converged`,
-/// `final_rel_residual`, `residual_history`) are bitwise identical to a
-/// solo [`crate::cg::pcg_solve`] on that column — see the module docs for
-/// why — and therefore also deterministic across thread caps and jitter
-/// seeds.
+/// `final_rel_residual`, `residual_history`) are bitwise identical to the
+/// textbook [`crate::cg::pcg_solve_unfused`] on that column — see the
+/// module docs for why — and therefore also deterministic across thread
+/// caps and jitter seeds.
+///
+/// All scratch is allocated before the loop; the iteration itself
+/// performs no heap allocation (asserted by `tests/alloc_counting.rs`).
+///
+/// # Telemetry
+///
+/// Observe-only, so on/off runs are bitwise identical: a `pcg` span, the
+/// `cg/solves` (one per column) and `cg/iterations` counters, the
+/// `cg/residual` trace of the first nonzero column, a convergence
+/// watchdog per column, and a flight milestone each time a column's
+/// relative residual crosses a decade.
 ///
 /// # Panics
 ///
@@ -193,22 +170,26 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
 ) -> Vec<CgResult> {
     let n = a.dim();
     let k = b.k();
-    assert_eq!(b.n(), n, "block_pcg: rhs column length");
-    assert_eq!(m.dim(), n, "block_pcg: preconditioner dim");
-    let obs_on = hicond_obs::enabled();
-    let _span = hicond_obs::span("block_pcg");
-    if obs_on {
-        hicond_obs::counter_add("cg/block_solves", 1);
-        hicond_obs::counter_add("cg/block_columns", k as u64);
+    assert_eq!(b.n(), n, "pcg: rhs column length");
+    assert_eq!(m.dim(), n, "pcg: preconditioner dim");
+    if k == 0 {
+        return Vec::new();
     }
+    // One relaxed load; the loop below stays allocation- and lock-free
+    // when observability is off.
+    let obs_on = hicond_obs::enabled();
+    let _span = hicond_obs::span("pcg");
     let mut bnorm = vec![0.0; k];
     let mut rz = vec![0.0; k];
+    let mut rz_new = vec![0.0; k];
     let mut iterations = vec![0usize; k];
     let mut converged = vec![false; k];
     let mut history: Vec<Vec<f64>> = vec![Vec::new(); k];
-    // Zero columns are converged at iteration 0, exactly like the solo
-    // solver's early return; they never enter the active set.
+    // Zero columns are converged at iteration 0 and never enter the
+    // active set. `active` and `survivors` are the two halves of each
+    // iteration's column mask, reused so the loop never allocates.
     let mut active: Vec<usize> = Vec::with_capacity(k);
+    let mut survivors: Vec<usize> = Vec::with_capacity(k);
     for j in 0..k {
         bnorm[j] = norm2(b.col(j));
         // exact: a norm is 0.0 iff the column is identically zero.
@@ -218,31 +199,48 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             active.push(j);
         }
     }
+    let traced = active.first().copied();
+    // The watchdogs and milestones read computed residuals and never
+    // produce a value the iteration uses.
+    let mut watchdogs: Vec<hicond_obs::Watchdog> = Vec::new();
+    if obs_on {
+        hicond_obs::counter_add("cg/solves", k as u64);
+        hicond_obs::counter_add(
+            "cg/scratch_bytes",
+            8 * (5 * (n * k) as u64 + scratch_len(n) as u64),
+        );
+        // Reserve the whole series so per-iteration pushes never
+        // allocate.
+        hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
+        watchdogs.resize_with(k, hicond_obs::Watchdog::new);
+    }
+    // Next decade of each column's relative residual that fires a flight
+    // milestone; every column starts at ‖b‖/‖b‖ = 1.
+    let mut next_milestone = vec![0.1f64; k];
     let mut x = DenseBlock::new(n, k);
     let mut r = b.clone();
     let mut z = DenseBlock::new(n, k);
     let mut ap = DenseBlock::new(n, k);
     let mut partials = vec![0.0; scratch_len(n)];
-    // Initial preconditioned residual: one block apply, then the solo
-    // solver's rᵀz with the shared scratch kernel (the apply_dot_into
-    // overrides are contractually bitwise equal to this split sequence).
-    m.apply_block(&r, &mut z, &active);
+    m.apply_dot_block(&r, &mut z, &active, &mut rz, &mut partials);
     let mut p = DenseBlock::new(n, k);
     for &j in &active {
-        rz[j] = dot_with_scratch(r.col(j), z.col(j), &mut partials);
-        p.copy_col_from(j, &z);
+        p.col_mut(j).copy_from_slice(z.col(j));
         if opts.record_residuals {
             history[j].reserve(opts.max_iter + 2);
             history[j].push(norm2(r.col(j)));
+        }
+        if obs_on && traced == Some(j) {
+            hicond_obs::trace_push("cg/residual", norm2(r.col(j)));
         }
     }
     let mut it = 0;
     while it < opts.max_iter && !active.is_empty() {
         a.apply_block(&p, &mut ap, &active);
-        // Per-column direction dot, fused x/r update, convergence check —
-        // the solo loop's head, column-interleaved. Scanning `active` in
-        // increasing column order keeps the schedule k-independent.
-        let mut survivors = Vec::with_capacity(active.len());
+        // Per-column direction dot, fused x/r update, convergence check.
+        // Scanning `active` in increasing column order keeps the schedule
+        // k-independent.
+        survivors.clear();
         for &j in &active {
             let pap = dot_with_scratch(p.col(j), ap.col(j), &mut partials);
             if pap <= 0.0 {
@@ -265,6 +263,29 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             if opts.record_residuals {
                 history[j].push(rnorm);
             }
+            if obs_on {
+                if traced == Some(j) {
+                    hicond_obs::trace_push("cg/residual", rnorm);
+                }
+                let rel = rnorm / bnorm[j];
+                if let Some(w) = watchdogs.get_mut(j) {
+                    w.observe(iterations[j] as u64, rel);
+                }
+                if rel > 0.0 && rel.is_finite() && rel < next_milestone[j] {
+                    // One event per iteration at most, on crossing a
+                    // residual decade (bounded: at worst ~300 divisions
+                    // down to underflow).
+                    hicond_obs::flight::event(
+                        hicond_obs::flight::EventKind::ResidualMilestone,
+                        residual_milestone_id(),
+                        iterations[j] as u64,
+                        rel.to_bits(),
+                    );
+                    while next_milestone[j] > rel {
+                        next_milestone[j] /= 10.0;
+                    }
+                }
+            }
             if rnorm <= opts.rel_tol * bnorm[j] {
                 converged[j] = true;
                 continue; // done: freeze
@@ -276,49 +297,52 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
         }
         it += 1;
         if survivors.is_empty() || it >= opts.max_iter {
-            // The solo solver would run one more preconditioner apply here
-            // before its loop condition fails; skipping it changes only
-            // internal scratch (z, p), never a reported output.
+            // The textbook loop would run one more preconditioner apply
+            // here before its loop condition fails; skipping it changes
+            // only internal scratch (z, p), never a reported output.
             break;
         }
-        // One preconditioner sweep for every surviving column, then the
-        // solo loop's tail: rᵀz, breakdown test, β, direction update.
-        m.apply_block(&r, &mut z, &survivors);
-        let mut next = Vec::with_capacity(survivors.len());
+        // One preconditioner sweep (with rᵀz) for every surviving column,
+        // then the loop's tail: breakdown test, β, direction update.
+        m.apply_dot_block(&r, &mut z, &survivors, &mut rz_new, &mut partials);
+        active.clear();
         for &j in &survivors {
-            let rz_new = dot_with_scratch(r.col(j), z.col(j), &mut partials);
             // β = rz_new/rz divides by this value; only an exact zero
-            // (or non-finite) poisons it — exact compare, like the solo solver.
-            if rz_new == 0.0 || !rz_new.is_finite() {
+            // (or non-finite) poisons it — exact compare.
+            if rz_new[j] == 0.0 || !rz_new[j].is_finite() {
                 continue; // stagnated: freeze
             }
-            let beta = rz_new / rz[j];
-            rz[j] = rz_new;
+            let beta = rz_new[j] / rz[j];
+            rz[j] = rz_new[j];
             xpby(z.col(j), beta, p.col_mut(j));
-            next.push(j);
+            active.push(j);
         }
-        active = next;
     }
     if obs_on {
-        hicond_obs::counter_add(
-            "cg/block_iterations",
-            iterations.iter().map(|&i| i as u64).sum(),
-        );
+        hicond_obs::counter_add("cg/iterations", iterations.iter().map(|&i| i as u64).sum());
     }
-    let xs = x.into_columns();
-    xs.into_iter()
+    x.into_columns()
+        .into_iter()
         .enumerate()
-        .map(|(j, xj)| CgResult {
-            x: xj,
-            iterations: iterations[j],
-            // exact: zero-rhs columns report residual 0 by definition.
-            final_rel_residual: if bnorm[j] == 0.0 {
+        .map(|(j, xj)| {
+            // exact: zero-rhs columns never iterated and report residual 0.
+            let final_rel_residual = if bnorm[j] == 0.0 {
                 0.0
             } else {
-                norm2(r.col(j)) / bnorm[j]
-            },
-            residual_history: std::mem::take(&mut history[j]),
-            converged: converged[j],
+                let rel = norm2(r.col(j)) / bnorm[j];
+                if obs_on {
+                    hicond_obs::hist_record("cg/iterations_per_solve", iterations[j] as f64);
+                    hicond_obs::gauge_set("cg/final_rel_residual", rel);
+                }
+                rel
+            };
+            CgResult {
+                x: xj,
+                iterations: iterations[j],
+                final_rel_residual,
+                residual_history: std::mem::take(&mut history[j]),
+                converged: converged[j],
+            }
         })
         .collect()
 }
@@ -326,7 +350,7 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{pcg_solve, IdentityPreconditioner, JacobiPreconditioner};
+    use crate::cg::{pcg_solve_unfused, IdentityPreconditioner, JacobiPreconditioner};
     use crate::csr::{CooBuilder, CsrMatrix};
 
     fn spd_tridiag(n: usize) -> CsrMatrix {
@@ -356,9 +380,6 @@ mod tests {
         assert_eq!((blk.n(), blk.k()), (2, 3));
         assert_eq!(blk.col(1), &[3.0, 4.0]);
         blk.col_mut(2)[0] = 9.0;
-        let subset = blk.cols_mut_subset(&[0, 2]);
-        assert_eq!(subset.len(), 2);
-        assert_eq!(&*subset[1], &[9.0, 6.0]);
         assert_eq!(
             blk.into_columns(),
             vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![9.0, 6.0]]
@@ -366,16 +387,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "column subset")]
-    fn cols_mut_subset_rejects_unsorted() {
-        let mut blk = DenseBlock::new(3, 3);
-        let _ = blk.cols_mut_subset(&[2, 0]);
-    }
-
-    #[test]
     fn empty_column_block() {
-        let mut blk = DenseBlock::new(0, 2);
-        assert_eq!(blk.cols_mut_subset(&[0, 1]).len(), 2);
+        let blk = DenseBlock::new(0, 2);
         assert_eq!(blk.into_columns(), vec![Vec::<f64>::new(); 2]);
     }
 
@@ -389,7 +402,7 @@ mod tests {
         let opts = CgOptions::default();
         let block = block_pcg_solve(&a, &m, &b, &opts);
         for (j, col) in cols.iter().enumerate() {
-            let solo = pcg_solve(&a, &m, col, &opts);
+            let solo = pcg_solve_unfused(&a, &m, col, &opts);
             assert_eq!(block[j].iterations, solo.iterations, "col {j}");
             assert_eq!(block[j].converged, solo.converged, "col {j}");
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -424,7 +437,7 @@ mod tests {
         let col = rhs(n, 11);
         let b = DenseBlock::from_columns(std::slice::from_ref(&col));
         let blk = block_pcg_solve(&a, &IdentityPreconditioner(n), &b, &CgOptions::default());
-        let solo = pcg_solve(&a, &IdentityPreconditioner(n), &col, &CgOptions::default());
+        let solo = pcg_solve_unfused(&a, &IdentityPreconditioner(n), &col, &CgOptions::default());
         assert_eq!(blk.len(), 1);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&blk[0].x), bits(&solo.x));
@@ -452,7 +465,7 @@ mod tests {
         assert_eq!(res[2].iterations, 0);
         // Each column still matches its solo run exactly.
         for (j, col) in [easy, hard].iter().enumerate() {
-            let solo = pcg_solve(&a, &m, col, &opts);
+            let solo = pcg_solve_unfused(&a, &m, col, &opts);
             assert_eq!(res[j].iterations, solo.iterations, "col {j}");
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&res[j].x), bits(&solo.x), "col {j}");

@@ -25,11 +25,7 @@
 //! bitwise identical at any thread count, and the dispatch threshold is a
 //! pure performance knob that tests may pin to 0 or `usize::MAX` freely.
 //!
-//! An optional SELL-C-style padded layout ([`SellMatrix`], feature `sell`)
-//! regularizes short rows for wide hardware; it keeps the same per-row
-//! accumulation order via an explicit row-length guard, so it also matches
-//! the reference bitwise.
-
+use crate::block::DenseBlock;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -228,187 +224,47 @@ impl BlockIndex {
             });
     }
 
-    /// Multi-vector blocked SpMV: `ys[j] = A xs[j]` for every column, with
-    /// a **band-major** traversal — each matrix band's pointers, indices,
-    /// and values are loaded once and feed all k columns while still hot in
-    /// cache, instead of being re-streamed k times. This is the kernel the
-    /// block-PCG engine amortizes its matrix traffic with.
+    /// Multi-vector blocked SpMV: `y[:, j] = A x[:, j]` for each `j` in
+    /// `active`. The sequential path is **band-major**: each matrix band's
+    /// pointers, indices, and values are loaded once and feed all active
+    /// columns while still hot in cache, instead of being re-streamed k
+    /// times. The parallel path runs [`Self::par_mul_into`] column by
+    /// column, so neither path allocates.
     ///
     /// The per-(band, column) work is exactly [`Self::band_into`], so each
     /// column's result is bitwise identical to [`Self::mul_into`] on that
-    /// column alone; band-major vs column-major ordering moves no
-    /// floating-point operation *within* a column. The parallel path
-    /// distributes whole bands (each worker writing its band's rows of
-    /// every column), preserving the one-writer-per-element discipline —
-    /// bitwise identical at any thread count and jitter seed.
+    /// column alone, at any thread count and jitter seed. Inactive columns
+    /// are neither read nor written.
     ///
     /// # Panics
-    /// Panics if `xs` and `ys` disagree in column count or any output
-    /// column's length disagrees with the indexed row count.
+    /// Panics if a column length disagrees with the indexed row count or
+    /// `active` indexes past the block width.
     pub fn mul_block_into(
         &self,
         col_idx: &[u32],
         values: &[f64],
-        xs: &[&[f64]],
-        ys: &mut [&mut [f64]],
+        x: &DenseBlock,
+        y: &mut DenseBlock,
+        active: &[usize],
         parallel: bool,
     ) {
-        assert_eq!(xs.len(), ys.len(), "blocked block mul: column count");
-        for y in ys.iter() {
-            assert_eq!(y.len(), self.nrows, "blocked block mul: y length");
-        }
-        if self.nrows == 0 || xs.is_empty() {
+        assert_eq!(y.n(), self.nrows, "blocked block mul: y length");
+        if parallel {
+            for &j in active {
+                self.par_mul_into(col_idx, values, x.col(j), y.col_mut(j));
+            }
             return;
         }
         if hicond_obs::enabled() {
             hicond_obs::counter_add("spmv/blocks", self.nbands() as u64);
-            hicond_obs::counter_add("spmv/block_columns", xs.len() as u64);
+            hicond_obs::counter_add("spmv/block_columns", active.len() as u64);
         }
-        if !parallel {
-            for b in 0..self.nbands() {
-                let r0 = b * BAND_ROWS;
-                let r1 = ((b + 1) * BAND_ROWS).min(self.nrows);
-                for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    self.band_into(b, col_idx, values, x, &mut y[r0..r1]);
-                }
+        for b in 0..self.nbands() {
+            let r0 = b * BAND_ROWS;
+            let r1 = ((b + 1) * BAND_ROWS).min(self.nrows);
+            for &j in active {
+                self.band_into(b, col_idx, values, x.col(j), &mut y.col_mut(j)[r0..r1]);
             }
-            return;
-        }
-        // Regroup the k column buffers into per-band bundles (band b owns
-        // rows [b·BAND_ROWS, …) of every column — disjoint mutable views,
-        // extracted safely) so whole bands parallelize across workers.
-        let mut per_band: Vec<Vec<&mut [f64]>> = (0..self.nbands())
-            .map(|_| Vec::with_capacity(xs.len()))
-            .collect();
-        for y in ys.iter_mut() {
-            for (b, band) in y.chunks_mut(BAND_ROWS).enumerate() {
-                per_band[b].push(band);
-            }
-        }
-        per_band
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(b, y_bands)| {
-                for (x, y_band) in xs.iter().zip(y_bands.iter_mut()) {
-                    self.band_into(b, col_idx, values, x, y_band);
-                }
-            });
-    }
-}
-
-/// SELL-C-style padded layout (`C = 8`, σ = 1: no row reordering).
-///
-/// Rows are grouped into chunks of 8; each chunk stores its nonzeros
-/// slot-major (all rows' k-th entries adjacent), padded to the chunk's
-/// widest row. An explicit per-row length guard skips padded lanes, so no
-/// padded value ever enters the arithmetic — each row still accumulates its
-/// real nonzeros in storage order, keeping the result bitwise identical to
-/// the CSR reference. Enable with the `sell` feature; this layout is an
-/// opt-in experiment for wide-SIMD hardware, not the default dispatch.
-#[cfg(feature = "sell")]
-#[derive(Debug, Clone)]
-pub struct SellMatrix {
-    nrows: usize,
-    ncols: usize,
-    /// Slot offset of each chunk into `col_idx`/`values` (len = nchunks+1),
-    /// in units of C-row groups: chunk c occupies slots
-    /// `[chunk_ptr[c] * C, chunk_ptr[c+1] * C)`.
-    chunk_ptr: Vec<usize>,
-    /// Real nonzero count of every row (the padding guard).
-    row_len: Vec<u32>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
-}
-
-#[cfg(feature = "sell")]
-impl SellMatrix {
-    /// Chunk height.
-    pub const C: usize = 8;
-
-    /// Converts a CSR matrix into the padded layout.
-    pub fn from_csr(m: &crate::csr::CsrMatrix) -> SellMatrix {
-        let n = m.nrows();
-        let rp = m.row_ptr();
-        let nchunks = n.div_ceil(Self::C);
-        let mut chunk_ptr = Vec::with_capacity(nchunks + 1);
-        chunk_ptr.push(0usize);
-        let mut width = Vec::with_capacity(nchunks);
-        for c in 0..nchunks {
-            let r0 = c * Self::C;
-            let r1 = ((c + 1) * Self::C).min(n);
-            let w = (r0..r1).map(|r| rp[r + 1] - rp[r]).max().unwrap_or(0);
-            width.push(w);
-            chunk_ptr.push(chunk_ptr[c] + w);
-        }
-        let slots = chunk_ptr[nchunks] * Self::C;
-        // Padding columns are 0 and padding values are 0.0, but the guard
-        // means they are never read as operands — the zeros are inert.
-        let mut col_idx = vec![0u32; slots];
-        let mut values = vec![0.0f64; slots];
-        let mut row_len = vec![0u32; n];
-        let src_ci = m.col_idx();
-        let src_vs = m.values();
-        for c in 0..nchunks {
-            let r0 = c * Self::C;
-            let base = chunk_ptr[c] * Self::C;
-            for r in r0..((c + 1) * Self::C).min(n) {
-                let lane = r - r0;
-                let (lo, hi) = (rp[r], rp[r + 1]);
-                row_len[r] = (hi - lo) as u32;
-                for (s, k) in (lo..hi).enumerate() {
-                    let slot = base + s * Self::C + lane;
-                    col_idx[slot] = src_ci[k];
-                    values[slot] = src_vs[k];
-                }
-            }
-        }
-        SellMatrix {
-            nrows: n,
-            ncols: m.ncols(),
-            chunk_ptr,
-            row_len,
-            col_idx,
-            values,
-        }
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Stored slots including padding (the layout's bandwidth cost).
-    pub fn padded_len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `y = A x`, slot-major traversal with per-row length guards.
-    /// Bitwise identical to the CSR reference: row `r`'s k-th accumulated
-    /// term is the same `v * x[c]` in the same order.
-    ///
-    /// # Panics
-    /// Panics if `x` or `y` length disagrees with the matrix shape.
-    pub fn mul_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "sell mul: x length");
-        assert_eq!(y.len(), self.nrows, "sell mul: y length");
-        for (c, y_chunk) in y.chunks_mut(Self::C).enumerate() {
-            let base = self.chunk_ptr[c] * Self::C;
-            let width = self.chunk_ptr[c + 1] - self.chunk_ptr[c];
-            let r0 = c * Self::C;
-            let mut acc = [0.0f64; Self::C];
-            for s in 0..width {
-                let slot0 = base + s * Self::C;
-                for lane in 0..y_chunk.len() {
-                    if (s as u32) < self.row_len[r0 + lane] {
-                        let slot = slot0 + lane;
-                        // Padded slots are excluded by the row_len guard.
-                        acc[lane] += self.values[slot]
-                            // bounds: live slots hold CSR col indices < ncols
-                            * x[self.col_idx[slot] as usize];
-                    }
-                }
-            }
-            y_chunk.copy_from_slice(&acc[..y_chunk.len()]);
         }
     }
 }
@@ -462,15 +318,22 @@ mod tests {
             for (x, y) in cols.iter().zip(refs.iter_mut()) {
                 bi.mul_into(a.col_idx(), a.values(), x, y);
             }
+            let x = DenseBlock::from_columns(&cols);
             for parallel in [false, true] {
-                let xs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-                let mut outs: Vec<Vec<f64>> = vec![vec![0.0; n]; 3];
-                let mut ys: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-                bi.mul_block_into(a.col_idx(), a.values(), &xs, &mut ys, parallel);
+                let mut y = DenseBlock::new(n, 3);
+                bi.mul_block_into(a.col_idx(), a.values(), &x, &mut y, &[0, 2], parallel);
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                for (j, (got, want)) in outs.iter().zip(&refs).enumerate() {
-                    assert_eq!(bits(got), bits(want), "n={n} parallel={parallel} col={j}");
+                for j in [0, 2] {
+                    assert_eq!(
+                        bits(y.col(j)),
+                        bits(&refs[j]),
+                        "n={n} parallel={parallel} col={j}"
+                    );
                 }
+                assert!(
+                    y.col(1).iter().all(|&v| v == 0.0),
+                    "inactive column untouched"
+                );
             }
         }
     }
@@ -503,23 +366,5 @@ mod tests {
         let t = spmv_block_threshold();
         assert!(t == DEFAULT_BLOCK_NNZ || t > 0, "resolved {t}");
         set_spmv_block_threshold(None);
-    }
-
-    #[cfg(feature = "sell")]
-    #[test]
-    fn sell_matches_reference_bitwise() {
-        for n in [3usize, 8, 9, 1000] {
-            let a = banded(n, 4);
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
-            let mut y_ref = vec![0.0; n];
-            a.mul_into(&x, &mut y_ref);
-            let s = SellMatrix::from_csr(&a);
-            assert_eq!(s.nrows(), n);
-            assert!(s.padded_len() >= a.nnz());
-            let mut y_sell = vec![0.0; n];
-            s.mul_into(&x, &mut y_sell);
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&y_ref), bits(&y_sell), "n={n}");
-        }
     }
 }

@@ -8,11 +8,11 @@
 //! have the constant vector in their kernel — as long as `b` is orthogonal
 //! to the kernel; iterates then stay in the kernel's complement.
 
-use crate::block::DenseBlock;
+use crate::block::{block_pcg_solve, DenseBlock};
 use crate::ops::LinearOperator;
 use crate::vector::{
-    dot_with_scratch, fused_axpy_dot_self, fused_copy_dot, fused_scale_dot, fused_update_x_r,
-    norm2, par_axpy, scratch_len, xpby,
+    dot_with_scratch, fused_axpy_dot_self, fused_copy_dot, fused_scale_dot, norm2, par_axpy,
+    scratch_len, xpby,
 };
 
 /// A symmetric positive (semi)definite preconditioner: application of
@@ -30,7 +30,8 @@ pub trait Preconditioner {
     /// (`apply_into` then [`dot_with_scratch`]), so every implementor gets
     /// correct (and trivially bitwise-matching) behavior for free.
     /// Implementors that *can* produce `z` and accumulate `rᵀz` in a single
-    /// traversal should override this — the PCG loop calls it once per
+    /// traversal should override this — the default
+    /// [`Self::apply_dot_block`] calls it once per column per PCG
     /// iteration, and eliminating the extra read of `r` and `z` is one of
     /// the two memory-sweep savings of the fused solver. **Contract:** an
     /// override must return bitwise the same `z` and the same dot value as
@@ -42,29 +43,39 @@ pub trait Preconditioner {
         dot_with_scratch(r, z, partials)
     }
 
-    /// `z[:, j] = M⁻¹ r[:, j]` for each `j` in `active` (sorted, unique) —
-    /// one preconditioner application per block, the second half of the
-    /// block-PCG amortization (the first being the operator's
-    /// [`crate::ops::LinearOperator::apply_block`]).
+    /// `z[:, j] = M⁻¹ r[:, j]` and `rz[j] = r[:, j]ᵀ z[:, j]` for each `j`
+    /// in `active` (sorted, unique) — the preconditioner sweep of the
+    /// block-PCG engine, fused with the `rᵀz` inner product it needs next.
+    /// Together with the operator's
+    /// [`crate::ops::LinearOperator::apply_block`] this is how one
+    /// iteration serves k right-hand sides with one traversal each.
     ///
-    /// **Contract:** each active column must come out bitwise identical to
-    /// [`Self::apply_into`] on that column alone, at any thread cap. The
-    /// default loops `apply_into` column by column; hierarchical
-    /// implementations should override with a shared traversal (one walk
-    /// of the level structure feeding all columns) as long as per-column
-    /// arithmetic order is preserved — the multilevel Steiner solver in
-    /// `hicond-precond` does exactly that. Inactive columns must not be
-    /// read or written.
+    /// **Contract:** each active column of `z`, and each `rz[j]`, must be
+    /// bitwise identical to [`Self::apply_dot_into`] on that column alone,
+    /// at any thread cap. The default loops `apply_dot_into` column by
+    /// column; hierarchical implementations should override with a shared
+    /// traversal (one walk of the level structure feeding all columns) as
+    /// long as per-column arithmetic order is preserved — the multilevel
+    /// Steiner solver in `hicond-precond` does exactly that. Inactive
+    /// columns of `z` and entries of `rz` must not be written.
     ///
     /// # Panics
     ///
-    /// Panics if block shapes disagree with the preconditioner dimension
-    /// or `active` indexes out of range.
-    fn apply_block(&self, r: &DenseBlock, z: &mut DenseBlock, active: &[usize]) {
-        assert_eq!(r.n(), self.dim(), "apply_block: r column length");
-        assert_eq!(z.n(), self.dim(), "apply_block: z column length");
+    /// Panics if block shapes disagree with the preconditioner dimension,
+    /// `rz` is shorter than the block width, or `active` indexes out of
+    /// range.
+    fn apply_dot_block(
+        &self,
+        r: &DenseBlock,
+        z: &mut DenseBlock,
+        active: &[usize],
+        rz: &mut [f64],
+        partials: &mut [f64],
+    ) {
+        assert_eq!(r.n(), self.dim(), "apply_dot_block: r column length");
+        assert_eq!(z.n(), self.dim(), "apply_dot_block: z column length");
         for &j in active {
-            self.apply_into(r.col(j), z.col_mut(j));
+            rz[j] = self.apply_dot_into(r.col(j), z.col_mut(j), partials);
         }
     }
 
@@ -151,7 +162,7 @@ impl Default for CgOptions {
 }
 
 /// Outcome of a CG/PCG run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CgResult {
     /// Final iterate.
     pub x: Vec<f64>,
@@ -176,13 +187,10 @@ pub fn cg_solve<A: LinearOperator>(a: &A, b: &[f64], opts: &CgOptions) -> CgResu
 /// Steiner preconditioner of the paper enters here through its Schur
 /// complement action (see `hicond-precond`).
 ///
-/// Runs the **fused** iteration: the preconditioner application is combined
-/// with the `rᵀz` inner product ([`Preconditioner::apply_dot_into`]) and the
-/// `x`/`r` updates with the residual norm ([`fused_update_x_r`]), removing
-/// two full memory sweeps per iteration versus the textbook sequence.
-/// Bitwise identical to [`pcg_solve_unfused`] — the fused kernels perform
-/// the same per-element arithmetic in the same order with the same chunk
-/// geometry; CI gates on the equivalence.
+/// A one-column [`block_pcg_solve`]: the block engine is the only PCG
+/// loop, so a solo solve runs the same fused iteration (and emits the same
+/// telemetry) as every column of a batch. Bitwise identical to
+/// [`pcg_solve_unfused`]; CI gates on the equivalence.
 ///
 /// # Panics
 ///
@@ -193,13 +201,17 @@ pub fn pcg_solve<A: LinearOperator, M: Preconditioner>(
     b: &[f64],
     opts: &CgOptions,
 ) -> CgResult {
-    pcg_solve_impl(a, m, b, opts, true)
+    let mut rhs = DenseBlock::new(b.len(), 1);
+    rhs.col_mut(0).copy_from_slice(b);
+    // A one-column block yields exactly one result.
+    block_pcg_solve(a, m, &rhs, opts).pop().unwrap_or_default()
 }
 
 /// The textbook (unfused) PCG iteration: separate sweeps for the `x`
 /// update, the `r` update, the residual norm, the preconditioner apply, and
-/// the `rᵀz` dot. Kept callable as the reference the fused solver is gated
-/// against — benchmark and CI both compare [`pcg_solve`] to this bitwise.
+/// the `rᵀz` dot, with no telemetry. It is the reference the block engine
+/// is gated against — benchmark and CI both compare [`pcg_solve`] to this
+/// bitwise.
 ///
 /// # Panics
 ///
@@ -210,53 +222,13 @@ pub fn pcg_solve_unfused<A: LinearOperator, M: Preconditioner>(
     b: &[f64],
     opts: &CgOptions,
 ) -> CgResult {
-    pcg_solve_impl(a, m, b, opts, false)
-}
-
-/// Interned flight-recorder name for residual-decade milestones, resolved
-/// once per process so the hot loop never touches the intern mutex.
-fn residual_milestone_id() -> u32 {
-    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
-}
-
-fn pcg_solve_impl<A: LinearOperator, M: Preconditioner>(
-    a: &A,
-    m: &M,
-    b: &[f64],
-    opts: &CgOptions,
-    fused: bool,
-) -> CgResult {
     let n = a.dim();
     assert_eq!(b.len(), n, "pcg: rhs length");
     assert_eq!(m.dim(), n, "pcg: preconditioner dim");
-    // One relaxed load; the whole loop below stays allocation- and
-    // lock-free when observability is off. Recorded values never feed
-    // back into the iteration, so on/off runs are bitwise identical.
-    let obs_on = hicond_obs::enabled();
-    let _span = hicond_obs::span("pcg");
-    if obs_on {
-        hicond_obs::counter_add("cg/solves", 1);
-        hicond_obs::counter_add(
-            "cg/scratch_bytes",
-            8 * (5 * n as u64 + scratch_len(n) as u64),
-        );
-        // Reserve the whole series so per-iteration pushes never
-        // allocate (the loop must stay allocation-free with recording
-        // on too — see tests/alloc_counting.rs).
-        hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
-    }
-    // Convergence watchdog and flight-recorder milestones: observe-only
-    // (they read computed residuals, never produce a value the iteration
-    // uses), so enabling them preserves bitwise determinism.
-    let mut watchdog = obs_on.then(hicond_obs::Watchdog::new);
-    // Next decade boundary of the relative residual that triggers a
-    // flight milestone. The starting residual is ‖b‖/‖b‖ = 1, so the
-    // first milestone fires on crossing 1e-1.
-    let mut next_milestone = 0.1f64;
     let bnorm = norm2(b);
     let mut x = vec![0.0; n];
     let mut history = Vec::new();
+    // exact: a norm is 0.0 iff b is identically zero.
     if bnorm == 0.0 {
         return CgResult {
             x,
@@ -266,30 +238,15 @@ fn pcg_solve_impl<A: LinearOperator, M: Preconditioner>(
             converged: true,
         };
     }
-    // All scratch is preallocated here; the iteration loop below performs
-    // no heap allocation (asserted by `tests/alloc_counting.rs`).
     let mut r = b.to_vec();
     let mut z = vec![0.0; n];
     let mut ap = vec![0.0; n];
     let mut partials = vec![0.0; scratch_len(n)];
-    let mut rz = if fused {
-        m.apply_dot_into(&r, &mut z, &mut partials)
-    } else {
-        m.apply_into(&r, &mut z);
-        dot_with_scratch(&r, &z, &mut partials)
-    };
-    let mut p = vec![0.0; n];
-    p.copy_from_slice(&z);
-    let mut fused_applies = 0u64;
-    if fused {
-        fused_applies += 1;
-    }
+    m.apply_into(&r, &mut z);
+    let mut rz = dot_with_scratch(&r, &z, &mut partials);
+    let mut p = z.clone();
     if opts.record_residuals {
-        history.reserve(opts.max_iter + 2);
         history.push(norm2(&r));
-    }
-    if obs_on {
-        hicond_obs::trace_push("cg/residual", norm2(&r));
     }
     let mut it = 0;
     let mut converged = false;
@@ -297,45 +254,17 @@ fn pcg_solve_impl<A: LinearOperator, M: Preconditioner>(
         a.apply_into(&p, &mut ap);
         let pap = dot_with_scratch(&p, &ap, &mut partials);
         if pap <= 0.0 {
-            // Hit the (numerical) kernel; cannot advance further.
-            break;
+            break; // hit the (numerical) kernel
         }
         let alpha = rz / pap;
         if !alpha.is_finite() {
-            break; // numerical breakdown (rz underflow / pap degenerate)
+            break;
         }
-        let rnorm = if fused {
-            // One pass over (p, ap, x, r): x += α·p, r −= α·ap, acc ‖r‖².
-            fused_update_x_r(alpha, &p, &ap, &mut x, &mut r, &mut partials).sqrt()
-        } else {
-            par_axpy(alpha, &p, &mut x);
-            // Fused r -= alpha·ap and ‖r‖² in a single pass over r.
-            fused_axpy_dot_self(-alpha, &ap, &mut r, &mut partials).sqrt()
-        };
+        par_axpy(alpha, &p, &mut x);
+        let rnorm = fused_axpy_dot_self(-alpha, &ap, &mut r, &mut partials).sqrt();
         it += 1;
         if opts.record_residuals {
             history.push(rnorm);
-        }
-        if obs_on {
-            hicond_obs::trace_push("cg/residual", rnorm);
-            let rel = rnorm / bnorm;
-            if let Some(w) = watchdog.as_mut() {
-                w.observe(it as u64, rel);
-            }
-            if rel > 0.0 && rel.is_finite() && rel < next_milestone {
-                // One event per iteration at most, on crossing a residual
-                // decade; the loop advances the threshold past `rel`
-                // (bounded: at worst ~300 halvings down to underflow).
-                hicond_obs::flight::event(
-                    hicond_obs::flight::EventKind::ResidualMilestone,
-                    residual_milestone_id(),
-                    it as u64,
-                    rel.to_bits(),
-                );
-                while next_milestone > rel {
-                    next_milestone /= 10.0;
-                }
-            }
         }
         if rnorm <= opts.rel_tol * bnorm {
             converged = true;
@@ -344,31 +273,20 @@ fn pcg_solve_impl<A: LinearOperator, M: Preconditioner>(
         if !rnorm.is_finite() {
             break;
         }
-        let rz_new = if fused {
-            fused_applies += 1;
-            m.apply_dot_into(&r, &mut z, &mut partials)
-        } else {
-            m.apply_into(&r, &mut z);
-            dot_with_scratch(&r, &z, &mut partials)
-        };
+        m.apply_into(&r, &mut z);
+        let rz_new = dot_with_scratch(&r, &z, &mut partials);
+        // exact: only a zero (or non-finite) rz poisons β.
         if rz_new == 0.0 || !rz_new.is_finite() {
-            break; // residual left the preconditioner's range; stagnated
+            break;
         }
         let beta = rz_new / rz;
         rz = rz_new;
         xpby(&z, beta, &mut p);
     }
-    let final_rel = norm2(&r) / bnorm;
-    if obs_on {
-        hicond_obs::counter_add("cg/iterations", it as u64);
-        hicond_obs::counter_add("cg/fused_applies", fused_applies);
-        hicond_obs::hist_record("cg/iterations_per_solve", it as f64);
-        hicond_obs::gauge_set("cg/final_rel_residual", final_rel);
-    }
     CgResult {
         x,
         iterations: it,
-        final_rel_residual: final_rel,
+        final_rel_residual: norm2(&r) / bnorm,
         residual_history: history,
         converged,
     }

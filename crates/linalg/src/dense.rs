@@ -227,8 +227,19 @@ impl CholeskyFactor {
     ///
     /// Panics if `b` length differs from the factor dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
         let mut y = b.to_vec();
+        self.solve_in_place(&mut y);
+        y
+    }
+
+    /// Overwrites `y = b` with `x = A⁻¹ b` (same arithmetic as
+    /// [`Self::solve`], no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` length differs from the factor dimension.
+    pub fn solve_in_place(&self, y: &mut [f64]) {
+        assert_eq!(y.len(), self.n);
         // L y = b
         for i in 0..self.n {
             let mut v = y[i];
@@ -245,7 +256,6 @@ impl CholeskyFactor {
             }
             y[i] = v / self.l[(i, i)];
         }
-        y
     }
 
     /// Dimension.

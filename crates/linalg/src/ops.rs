@@ -65,9 +65,9 @@ impl LinearOperator for CsrMatrix {
         self.mul_into_with(x, y, Parallelism::default());
     }
 
-    /// Band-major block SpMV: one sweep of the band index feeds every
-    /// active column ([`crate::blocked::BlockIndex::mul_block_into`]),
-    /// with the same dispatch thresholds as [`CsrMatrix::mul_into_with`].
+    /// Blocked block SpMV ([`crate::blocked::BlockIndex::mul_block_into`]:
+    /// band-major when sequential), with the same dispatch thresholds as
+    /// [`CsrMatrix::mul_into_with`]. Allocation-free.
     /// Per-column results are bitwise identical to `apply_into` on every
     /// path, so the dispatch remains a pure performance knob.
     fn apply_block(&self, x: &DenseBlock, y: &mut DenseBlock, active: &[usize]) {
@@ -75,10 +75,8 @@ impl LinearOperator for CsrMatrix {
         assert_eq!(y.n(), self.nrows(), "apply_block: y column length");
         if self.nnz() >= crate::blocked::spmv_block_threshold() {
             if let Some(bi) = self.block_index() {
-                let xs: Vec<&[f64]> = active.iter().map(|&j| x.col(j)).collect();
-                let mut ys = y.cols_mut_subset(active);
                 let parallel = Parallelism::default().is_parallel() && self.nrows() >= 4096;
-                bi.mul_block_into(self.col_idx(), self.values(), &xs, &mut ys, parallel);
+                bi.mul_block_into(self.col_idx(), self.values(), x, y, active, parallel);
                 return;
             }
         }

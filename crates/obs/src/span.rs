@@ -17,13 +17,18 @@ use std::time::Instant;
 
 thread_local! {
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// `PATHS[d]` is the joined path of the live span at depth `d`. The
+    /// strings are reused across opens, so a steady-state span performs
+    /// no heap allocation (solver loops open spans every iteration).
+    static PATHS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Guard for one span; records duration into the registry on drop.
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct SpanGuard {
     start: Option<Instant>,
-    path: Option<String>,
+    /// Stack depth of this span: its path lives in `PATHS[depth]`.
+    depth: usize,
     /// Interned path id for the flight-recorder enter/exit events.
     name_id: u32,
 }
@@ -34,22 +39,38 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard {
             start: None,
-            path: None,
+            depth: 0,
             name_id: 0,
         };
     }
-    let path = STACK.with(|s| {
+    let depth = STACK.with(|s| {
         let mut s = s.borrow_mut();
         s.push(name);
-        s.join("/")
+        s.len() - 1
     });
     // Intern once per open; exit reuses the id. The intern mutex is a
     // lock-order leaf like the registry lock.
-    let name_id = crate::flight::intern(&path);
+    let name_id = PATHS.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.len() <= depth {
+            p.resize_with(depth + 1, String::new);
+        }
+        let (parents, rest) = p.split_at_mut(depth);
+        let Some(path) = rest.first_mut() else {
+            return 0; // unreachable: resized to depth + 1 above
+        };
+        path.clear();
+        if let Some(parent) = parents.last() {
+            path.push_str(parent);
+            path.push('/');
+        }
+        path.push_str(name);
+        crate::flight::intern(path)
+    });
     crate::flight::event(crate::flight::EventKind::SpanEnter, name_id, 0, 0);
     SpanGuard {
         start: Some(Instant::now()),
-        path: Some(path),
+        depth,
         name_id,
     }
 }
@@ -57,13 +78,17 @@ pub fn span(name: &'static str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         // Only pop/record if we actually pushed (mode may flip mid-span).
-        if let (Some(start), Some(path)) = (self.start, self.path.take()) {
+        if let Some(start) = self.start.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             STACK.with(|s| {
                 s.borrow_mut().pop();
             });
             crate::flight::event(crate::flight::EventKind::SpanExit, self.name_id, ns, 0);
-            crate::global().timer(&path).record_ns(ns);
+            PATHS.with(|p| {
+                if let Some(path) = p.borrow().get(self.depth) {
+                    crate::global().timer(path).record_ns(ns);
+                }
+            });
         }
     }
 }
@@ -101,7 +126,7 @@ mod tests {
         let prev = crate::mode();
         set_mode(Mode::Off);
         let g = span("never_recorded");
-        assert!(g.start.is_none() && g.path.is_none());
+        assert!(g.start.is_none());
         drop(g);
         set_mode(prev);
     }

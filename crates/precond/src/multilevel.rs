@@ -49,19 +49,22 @@ pub(crate) struct MlLevel {
     pub(crate) num_clusters: usize,
 }
 
-/// Reusable buffers for the block hierarchy walk
-/// ([`MultilevelSteiner::apply_block`]), one entry per level.
+/// Reusable buffers for the hierarchy walk
+/// ([`MultilevelSteiner::cycle_block_into`]): one entry per level plus
+/// the coarse Cholesky scratch.
 ///
 /// At serve-batch widths these blocks run to hundreds of kilobytes —
 /// past the allocator's mmap threshold — so a fresh
 /// allocate/fault/free cycle on every apply costs more than the
 /// arithmetic it feeds. The buffers are sized on first use and kept
-/// across applies; a width change (a different batch size) triggers
-/// one resize.
+/// across applies, so a steady-state apply allocates nothing; a width
+/// change (a different batch size) triggers one resize.
 #[derive(Default)]
 pub(crate) struct BlockWs {
     k: usize,
     levels: Vec<LevelWs>,
+    /// Scratch for the coarse grounded Cholesky solves.
+    coarse: Vec<f64>,
 }
 
 struct LevelWs {
@@ -96,20 +99,23 @@ impl BlockWs {
         }
     }
 
-    fn ensure(&mut self, levels: &[MlLevel], k: usize) {
-        if self.k == k && self.levels.len() == levels.len() {
-            return;
+    /// Sizes the level buffers for width `k` (no-op when they already
+    /// fit) and the coarse scratch.
+    fn ensure(&mut self, m: &MultilevelSteiner, k: usize) {
+        if self.k != k || self.levels.len() != m.levels.len() {
+            self.k = k;
+            self.levels = m
+                .levels
+                .iter()
+                .map(|l| LevelWs {
+                    v1: DenseBlock::new(l.lap.nrows(), k),
+                    av: DenseBlock::new(l.lap.nrows(), k),
+                    rc: DenseBlock::new(l.num_clusters, k),
+                    co: DenseBlock::new(l.num_clusters, k),
+                })
+                .collect();
         }
-        self.k = k;
-        self.levels = levels
-            .iter()
-            .map(|l| LevelWs {
-                v1: DenseBlock::new(l.lap.nrows(), k),
-                av: DenseBlock::new(l.lap.nrows(), k),
-                rc: DenseBlock::new(l.num_clusters, k),
-                co: DenseBlock::new(l.num_clusters, k),
-            })
-            .collect();
+        self.coarse.resize(m.coarse.scratch_len(), 0.0);
     }
 }
 
@@ -178,6 +184,9 @@ impl MultilevelSteiner {
         self.levels.len() + 1
     }
 
+    /// The allocating recursive V-cycle: the test reference that
+    /// [`Self::cycle_block_into`] is held to bit for bit.
+    #[cfg(test)]
     fn cycle(&self, level: usize, r: &[f64]) -> Vec<f64> {
         if level == self.levels.len() {
             return self.coarse.solve(r);
@@ -215,53 +224,6 @@ impl MultilevelSteiner {
             .collect()
     }
 
-    /// Level-0 cycle writing straight into the caller's output buffer.
-    ///
-    /// The recursion below level 0 is unchanged ([`Self::cycle`]); only the
-    /// outermost combination — the one full-length sweep PCG pays on every
-    /// apply — is restructured to skip the intermediate `Vec` and the
-    /// `copy_from_slice` sweep. Each output element is computed by the
-    /// exact same elementwise expression as in `cycle`, so the bits in `z`
-    /// are identical to the allocate-then-copy path.
-    fn cycle_into(&self, r: &[f64], z: &mut [f64]) {
-        if self.levels.is_empty() {
-            z.copy_from_slice(&self.coarse.solve(r));
-            return;
-        }
-        let l = &self.levels[0];
-        let restrict = |res: &[f64]| -> Vec<f64> {
-            let mut out = vec![0.0; l.num_clusters];
-            for (v, &c) in l.assignment.iter().enumerate() {
-                // Hierarchy construction keeps every assignment entry
-                // in bounds: c < num_clusters == out.len().
-                out[c as usize] += res[v];
-            }
-            out
-        };
-        if !self.smoothing {
-            let coarse = self.cycle(1, &restrict(r));
-            for (v, (zv, &rv)) in z.iter_mut().zip(r).enumerate() {
-                // bounds: assignment < num_clusters == coarse.len().
-                *zv = l.inv_d[v] * rv + coarse[l.assignment[v] as usize];
-            }
-            return;
-        }
-        let n = r.len();
-        let mut v1: Vec<f64> = (0..n).map(|v| self.omega * l.inv_d[v] * r[v]).collect();
-        let mut av = vec![0.0; n];
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
-        let r2: Vec<f64> = (0..n).map(|v| r[v] - av[v]).collect();
-        let coarse = self.cycle(1, &restrict(&r2));
-        for (v, val) in v1.iter_mut().enumerate() {
-            // bounds: assignment < num_clusters == coarse.len().
-            *val += coarse[l.assignment[v] as usize];
-        }
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
-        for (v, zv) in z.iter_mut().enumerate() {
-            *zv = v1[v] + self.omega * l.inv_d[v] * (r[v] - av[v]);
-        }
-    }
-
     /// Multi-column cycle: one walk of the hierarchy serves every active
     /// column of `rb`, writing results into the matching columns of `out`.
     /// Per level, the restriction table, the level Laplacian (via its
@@ -270,14 +232,14 @@ impl MultilevelSteiner {
     /// once per column — the shared-traversal amortization the block-PCG
     /// engine exists for. All intermediates live in the caller's
     /// [`BlockWs`] (one [`LevelWs`] per level, `ws[0]` for this level),
-    /// so a steady-state apply performs no large allocations.
+    /// so a steady-state apply performs no allocation at all.
     ///
     /// Every per-column arithmetic expression, and its evaluation order,
-    /// is copied verbatim from [`Self::cycle`]/[`Self::cycle_into`] (the
-    /// level SpMV goes through `apply_block`, whose per-column output is
-    /// contractually bitwise equal to `mul_into_with`; the restriction
+    /// is copied verbatim from the test-only recursive reference `cycle`
+    /// (the level SpMV goes through `apply_block`, whose per-column output
+    /// is contractually bitwise equal to `mul_into_with`; the restriction
     /// accumulates the summand `r[v] − (Av₁)[v]` in the same vertex order
-    /// the solo path materializes it), so each column of the result is
+    /// the reference materializes it), so each column of the result is
     /// bitwise identical to a single-vector cycle on that column.
     fn cycle_block_into(
         &self,
@@ -286,12 +248,13 @@ impl MultilevelSteiner {
         out: &mut DenseBlock,
         active: &[usize],
         ws: &mut [LevelWs],
+        coarse_scratch: &mut [f64],
     ) {
         if level == self.levels.len() {
             for &j in active {
                 // One coarse solve per column, all sharing the factors.
-                out.col_mut(j)
-                    .copy_from_slice(&self.coarse.solve(rb.col(j)));
+                self.coarse
+                    .solve_into(rb.col(j), out.col_mut(j), coarse_scratch);
             }
             return;
         }
@@ -311,7 +274,7 @@ impl MultilevelSteiner {
                     cj[c as usize] += rj[v];
                 }
             }
-            self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest);
+            self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest, coarse_scratch);
             for &j in active {
                 let (rj, cj, oj) = (rb.col(j), lw.co.col(j), out.col_mut(j));
                 for (v, zv) in oj.iter_mut().enumerate() {
@@ -340,7 +303,7 @@ impl MultilevelSteiner {
                 cj[c as usize] += rj[v] - aj[v];
             }
         }
-        self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest);
+        self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest, coarse_scratch);
         for &j in active {
             let (cj, vj) = (lw.co.col(j), lw.v1.col_mut(j));
             for (v, val) in vj.iter_mut().enumerate() {
@@ -358,51 +321,59 @@ impl MultilevelSteiner {
     }
 }
 
-impl Preconditioner for MultilevelSteiner {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", 1);
-        self.cycle_into(r, z);
-    }
-
-    fn apply_dot_into(&self, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
-        let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", 1);
-        hicond_obs::counter_add("precond/fused_applies", 1);
-        // The fused entry point writes z in place (no intermediate vector,
-        // no copy sweep) and computes rᵀz with the standard chunked kernel
-        // — the same function the default trait sequence uses, so the
-        // override is bitwise-transparent by construction.
-        self.cycle_into(r, z);
-        dot_with_scratch(r, z, partials)
-    }
-
-    fn apply_block(&self, r: &DenseBlock, z: &mut DenseBlock, active: &[usize]) {
+impl MultilevelSteiner {
+    /// One shared hierarchy walk for the active columns of `r` into `z`,
+    /// on the cached workspace.
+    fn apply_block_into(&self, r: &DenseBlock, z: &mut DenseBlock, active: &[usize]) {
         let _span = hicond_obs::span("precond_apply");
         hicond_obs::counter_add("precond/ml_applies", active.len() as u64);
-        hicond_obs::counter_add("precond/block_applies", 1);
-        assert_eq!(r.n(), self.n, "apply_block: r column length");
-        assert_eq!(z.n(), self.n, "apply_block: z column length");
-        assert_eq!(r.k(), z.k(), "apply_block: block widths");
+        assert_eq!(r.n(), self.n, "multilevel apply: r column length");
+        assert_eq!(z.n(), self.n, "multilevel apply: z column length");
+        assert_eq!(r.k(), z.k(), "multilevel apply: block widths");
         // Take the workspace out of its slot instead of holding the lock
         // across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly
         // the shape the lock-order analyzer refuses to certify. The lock
         // is only ever held for the swap itself (see BlockWs::take/store).
-        // Contention is benign — a second block solve racing on one
-        // shared preconditioner takes an empty workspace, allocates its
-        // own buffers, and the last put-back wins.
+        // Contention is benign — a second solve racing on one shared
+        // preconditioner takes an empty workspace, allocates its own
+        // buffers, and the last put-back wins.
         let mut ws = BlockWs::take(&self.block_ws);
-        ws.ensure(&self.levels, r.k());
-        // The walk reads active columns of `r` and writes the matching
-        // columns of `z` in place — no pack/scatter copies, and after the
-        // first apply at a given width, no block allocations at all.
-        self.cycle_block_into(0, r, z, active, &mut ws.levels);
+        ws.ensure(self, r.k());
+        self.cycle_block_into(0, r, z, active, &mut ws.levels, &mut ws.coarse);
         BlockWs::store(&self.block_ws, ws);
+    }
+}
+
+impl Preconditioner for MultilevelSteiner {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// One column through the same walk as [`Self::apply_dot_block`].
+    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
+        let mut rb = DenseBlock::new(self.n, 1);
+        rb.col_mut(0).copy_from_slice(r);
+        let mut zb = DenseBlock::new(self.n, 1);
+        self.apply_block_into(&rb, &mut zb, &[0]);
+        z.copy_from_slice(zb.col(0));
+    }
+
+    fn apply_dot_block(
+        &self,
+        r: &DenseBlock,
+        z: &mut DenseBlock,
+        active: &[usize],
+        rz: &mut [f64],
+        partials: &mut [f64],
+    ) {
+        // The walk writes z in place; rᵀz uses the same chunked kernel as
+        // the default `apply_dot_into`, so the override is
+        // bitwise-transparent by construction.
+        self.apply_block_into(r, z, active);
+        for &j in active {
+            rz[j] = dot_with_scratch(r.col(j), z.col(j), partials);
+        }
     }
 }
 
@@ -554,8 +525,9 @@ mod tests {
 
     #[test]
     fn block_apply_matches_single_apply_bitwise() {
-        // The shared-traversal block cycle must reproduce apply_into bit
-        // for bit on every active column, for both cycle flavors, deep and
+        // The shared-traversal block cycle must reproduce the recursive
+        // reference cycle bit for bit on every active column (and so must
+        // apply_into and the fused rᵀz), for both cycle flavors, deep and
         // single-level hierarchies, and strict active subsets.
         let g = generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 5) as f64);
         let n = g.num_vertices();
@@ -581,17 +553,25 @@ mod tests {
                 })
                 .collect();
             let r = hicond_linalg::DenseBlock::from_columns(&cols);
+            let mut partials = vec![0.0; hicond_linalg::vector::scratch_len(n)];
             for active in [vec![0usize, 1, 2], vec![1], vec![0, 2]] {
                 let mut z = hicond_linalg::DenseBlock::new(n, 3);
-                m.apply_block(&r, &mut z, &active);
+                let mut rz = vec![f64::NAN; 3];
+                m.apply_dot_block(&r, &mut z, &active, &mut rz, &mut partials);
                 for &j in &active {
-                    let solo = m.apply(&cols[j]);
+                    let reference = m.cycle(0, &cols[j]);
                     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(
-                        bits(z.col(j)),
-                        bits(&solo),
+                    let tag = format!(
                         "smoothing={smoothing} coarse={coarse_size} col {j} active {active:?}"
                     );
+                    assert_eq!(bits(z.col(j)), bits(&reference), "{tag}");
+                    assert_eq!(
+                        bits(&m.apply(&cols[j])),
+                        bits(&reference),
+                        "{tag} apply_into"
+                    );
+                    let dot = dot_with_scratch(&cols[j], &reference, &mut partials);
+                    assert_eq!(rz[j].to_bits(), dot.to_bits(), "{tag} rᵀz");
                 }
             }
         }

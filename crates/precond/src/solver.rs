@@ -21,7 +21,7 @@
 
 use crate::multilevel::{MultilevelOptions, MultilevelSteiner};
 use hicond_graph::{laplacian, Graph};
-use hicond_linalg::cg::{pcg_solve, CgOptions};
+use hicond_linalg::cg::CgOptions;
 use hicond_linalg::{block_pcg_solve, CsrMatrix, DenseBlock};
 
 /// Options for [`LaplacianSolver`].
@@ -139,7 +139,7 @@ impl LaplacianSolver {
     /// connected component; small imbalances are projected away, large
     /// ones are an error.
     pub fn solve(&self, b: &[f64]) -> Result<Solution, SolveError> {
-        self.solve_inner(b, false).map(|(sol, _)| sol)
+        self.solve_one(b, false).map(|(sol, _)| sol)
     }
 
     /// Like [`solve`](Self::solve) but also returns the PCG residual
@@ -148,7 +148,7 @@ impl LaplacianSolver {
     /// trajectories at any thread cap — the artifact round-trip tests rely
     /// on this.
     pub fn solve_recording(&self, b: &[f64]) -> Result<(Solution, Vec<f64>), SolveError> {
-        self.solve_inner(b, true)
+        self.solve_one(b, true)
     }
 
     /// Solves `L x = bᵢ` for a whole batch of right-hand sides with **one**
@@ -161,110 +161,32 @@ impl LaplacianSolver {
     /// `Err` and never enters the block; the remaining columns solve
     /// normally. Each returned solution is **bitwise identical** to what
     /// [`Self::solve`] produces for that rhs alone, at any thread cap and
-    /// jitter seed: validation, projection, the per-column PCG recurrence,
-    /// and the zero-mean normalization all perform the same arithmetic in
-    /// the same order as the single-rhs path.
+    /// jitter seed: both run the same validation, projection, block
+    /// engine, and zero-mean normalization, and the engine's columns do
+    /// not interact.
     pub fn solve_block(&self, bs: &[Vec<f64>]) -> Vec<Result<Solution, SolveError>> {
         let _span = hicond_obs::span("solve_block");
         hicond_obs::counter_add("solver/block_solves", 1);
-        hicond_obs::counter_add("solver/solves", bs.len() as u64);
-        let n = self.dim();
-        let mut results: Vec<Option<Result<Solution, SolveError>>> = vec![None; bs.len()];
-        // Validate and mean-project each column exactly as solve() does;
-        // survivors are packed into the block.
-        let mut admitted = Vec::new(); // (original index, projected rhs)
-        for (j, b) in bs.iter().enumerate() {
-            if b.len() != n {
-                results[j] = Some(Err(SolveError::WrongLength {
-                    expected: n,
-                    got: b.len(),
-                }));
-                continue;
-            }
-            let mut comp_sum = vec![0.0; self.num_components];
-            let mut comp_cnt = vec![0usize; self.num_components];
-            let mut l1 = 0.0;
-            for (v, &bv) in b.iter().enumerate() {
-                // connected_components labels densely, so every label
-                // fits the bounds: comp_labels[v] < num_components.
-                comp_sum[self.comp_labels[v] as usize] += bv;
-                comp_cnt[self.comp_labels[v] as usize] += 1; // bounds: as above
-                l1 += bv.abs();
-            }
-            let imbalance =
-                comp_sum.iter().map(|s| s.abs()).fold(0.0, f64::max) / l1.max(f64::MIN_POSITIVE);
-            if imbalance > 1e-6 {
-                results[j] = Some(Err(SolveError::InconsistentRhs { imbalance }));
-                continue;
-            }
-            let mut rhs = b.to_vec();
-            for (v, r) in rhs.iter_mut().enumerate() {
-                let c = self.comp_labels[v] as usize;
-                *r -= comp_sum[c] / comp_cnt[c] as f64;
-            }
-            admitted.push((j, rhs, comp_cnt));
-        }
-        if !admitted.is_empty() {
-            let cols: Vec<Vec<f64>> = admitted.iter().map(|(_, rhs, _)| rhs.clone()).collect();
-            let block = DenseBlock::from_columns(&cols);
-            let res = block_pcg_solve(
-                &self.lap,
-                &self.pre,
-                &block,
-                &CgOptions {
-                    rel_tol: self.opts.rel_tol,
-                    max_iter: self.opts.max_iter,
-                    record_residuals: false,
-                },
-            );
-            for ((j, _, comp_cnt), col_res) in admitted.into_iter().zip(res) {
-                if !col_res.converged {
-                    results[j] = Some(Err(SolveError::NotConverged {
-                        final_rel_residual: col_res.final_rel_residual,
-                    }));
-                    continue;
-                }
-                let mut x = col_res.x;
-                let mut xsum = vec![0.0; self.num_components];
-                for (v, &xv) in x.iter().enumerate() {
-                    // bounds: comp_labels values are < num_components.
-                    xsum[self.comp_labels[v] as usize] += xv;
-                }
-                for (v, xv) in x.iter_mut().enumerate() {
-                    let c = self.comp_labels[v] as usize;
-                    *xv -= xsum[c] / comp_cnt[c] as f64;
-                }
-                if hicond_obs::enabled() {
-                    hicond_obs::counter_add("solver/iterations", col_res.iterations as u64);
-                    hicond_obs::hist_record(
-                        "solver/iterations_per_solve",
-                        col_res.iterations as f64,
-                    );
-                }
-                results[j] = Some(Ok(Solution {
-                    x,
-                    iterations: col_res.iterations,
-                    rel_residual: col_res.final_rel_residual,
-                }));
-            }
-        }
-        results
+        self.solve_columns(bs, false)
             .into_iter()
-            // Every slot was filled: columns either errored at validation
-            // or came back from the block solve.
-            .map(|r| {
-                r.unwrap_or(Err(SolveError::NotConverged {
-                    final_rel_residual: f64::NAN,
-                }))
-            })
+            .map(|r| r.map(|(sol, _)| sol))
             .collect()
     }
 
-    fn solve_inner(&self, b: &[f64], record: bool) -> Result<(Solution, Vec<f64>), SolveError> {
+    fn solve_one(&self, b: &[f64], record: bool) -> Result<(Solution, Vec<f64>), SolveError> {
         // "pcg" and "precond_apply" spans from the inner solve nest under
         // this one ("solve/pcg/precond_apply" in the phase tree).
         let _span = hicond_obs::span("solve");
-        hicond_obs::counter_add("solver/solves", 1);
+        self.solve_columns(&[b], record)
+            .pop()
+            .unwrap_or(Err(SolveError::NotConverged {
+                final_rel_residual: f64::NAN,
+            }))
+    }
+
+    /// Per-component sums of `b` after the consistency check: the one
+    /// validation every solve entry point runs.
+    fn component_sums(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
         let n = self.dim();
         if b.len() != n {
             return Err(SolveError::WrongLength {
@@ -272,13 +194,12 @@ impl LaplacianSolver {
                 got: b.len(),
             });
         }
-        // Component-wise consistency check + projection.
         let mut comp_sum = vec![0.0; self.num_components];
-        let mut comp_cnt = vec![0usize; self.num_components];
         let mut l1 = 0.0;
-        for (v, &bv) in b.iter().enumerate() {
-            comp_sum[self.comp_labels[v] as usize] += bv;
-            comp_cnt[self.comp_labels[v] as usize] += 1;
+        for (&bv, &c) in b.iter().zip(&self.comp_labels) {
+            // connected_components labels densely, so every label fits
+            // the bounds: comp_labels[v] < num_components.
+            comp_sum[c as usize] += bv;
             l1 += bv.abs();
         }
         let imbalance =
@@ -286,48 +207,82 @@ impl LaplacianSolver {
         if imbalance > 1e-6 {
             return Err(SolveError::InconsistentRhs { imbalance });
         }
-        let mut rhs = b.to_vec();
-        for (v, r) in rhs.iter_mut().enumerate() {
+        Ok(comp_sum)
+    }
+
+    /// The shared solve path: validate each rhs, project the admitted ones
+    /// to zero mean per component, run one block-PCG over them, and
+    /// normalize each solution to zero mean per component. Results (with
+    /// the residual history when `record`) are index-aligned with `bs`.
+    fn solve_columns<B: AsRef<[f64]>>(
+        &self,
+        bs: &[B],
+        record: bool,
+    ) -> Vec<Result<(Solution, Vec<f64>), SolveError>> {
+        hicond_obs::counter_add("solver/solves", bs.len() as u64);
+        let n = self.dim();
+        let mut comp_cnt = vec![0usize; self.num_components];
+        for &c in &self.comp_labels {
+            comp_cnt[c as usize] += 1; // bounds: labels < num_components
+        }
+        let mean = |sums: &[f64], v: usize| {
             let c = self.comp_labels[v] as usize;
-            *r -= comp_sum[c] / comp_cnt[c] as f64;
+            sums[c] / comp_cnt[c] as f64
+        };
+        let checked: Vec<Result<Vec<f64>, SolveError>> =
+            bs.iter().map(|b| self.component_sums(b.as_ref())).collect();
+        let mut block = DenseBlock::new(n, checked.iter().filter(|c| c.is_ok()).count());
+        for (col, (b, sums)) in bs
+            .iter()
+            .zip(&checked)
+            .filter_map(|(b, c)| c.as_ref().ok().map(|s| (b.as_ref(), s)))
+            .enumerate()
+        {
+            for (v, (r, &bv)) in block.col_mut(col).iter_mut().zip(b).enumerate() {
+                *r = bv - mean(sums, v);
+            }
         }
-        let res = pcg_solve(
-            &self.lap,
-            &self.pre,
-            &rhs,
-            &CgOptions {
-                rel_tol: self.opts.rel_tol,
-                max_iter: self.opts.max_iter,
-                record_residuals: record,
-            },
-        );
-        if !res.converged {
-            return Err(SolveError::NotConverged {
-                final_rel_residual: res.final_rel_residual,
-            });
-        }
-        // Zero mean per component.
-        let mut x = res.x;
-        let mut xsum = vec![0.0; self.num_components];
-        for (v, &xv) in x.iter().enumerate() {
-            xsum[self.comp_labels[v] as usize] += xv;
-        }
-        for (v, xv) in x.iter_mut().enumerate() {
-            let c = self.comp_labels[v] as usize;
-            *xv -= xsum[c] / comp_cnt[c] as f64;
-        }
-        if hicond_obs::enabled() {
-            hicond_obs::counter_add("solver/iterations", res.iterations as u64);
-            hicond_obs::hist_record("solver/iterations_per_solve", res.iterations as f64);
-        }
-        Ok((
-            Solution {
-                x,
-                iterations: res.iterations,
-                rel_residual: res.final_rel_residual,
-            },
-            res.residual_history,
-        ))
+        let opts = CgOptions {
+            rel_tol: self.opts.rel_tol,
+            max_iter: self.opts.max_iter,
+            record_residuals: record,
+        };
+        let mut solved = block_pcg_solve(&self.lap, &self.pre, &block, &opts).into_iter();
+        checked
+            .into_iter()
+            .map(|c| {
+                c?;
+                // Every admitted column has a block result.
+                let res = solved.next().ok_or(SolveError::NotConverged {
+                    final_rel_residual: f64::NAN,
+                })?;
+                if !res.converged {
+                    return Err(SolveError::NotConverged {
+                        final_rel_residual: res.final_rel_residual,
+                    });
+                }
+                let mut x = res.x;
+                let mut xsum = vec![0.0; self.num_components];
+                for (&xv, &c) in x.iter().zip(&self.comp_labels) {
+                    xsum[c as usize] += xv;
+                }
+                for (v, xv) in x.iter_mut().enumerate() {
+                    *xv -= mean(&xsum, v);
+                }
+                if hicond_obs::enabled() {
+                    hicond_obs::counter_add("solver/iterations", res.iterations as u64);
+                    hicond_obs::hist_record("solver/iterations_per_solve", res.iterations as f64);
+                }
+                Ok((
+                    Solution {
+                        x,
+                        iterations: res.iterations,
+                        rel_residual: res.final_rel_residual,
+                    },
+                    res.residual_history,
+                ))
+            })
+            .collect()
     }
 }
 

@@ -71,26 +71,46 @@ impl GroundedLaplacianSolver {
     /// Applies the pseudoinverse: projects `b` to zero mean per component,
     /// solves, and returns the zero-mean solution.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n);
         let mut x = vec![0.0; self.n];
+        let mut scratch = vec![0.0; self.scratch_len()];
+        self.solve_into(b, &mut x, &mut scratch);
+        x
+    }
+
+    /// Scratch length [`Self::solve_into`] needs: the largest component.
+    pub(crate) fn scratch_len(&self) -> usize {
+        self.comps.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// [`Self::solve`] into a caller buffer, with caller scratch of at
+    /// least [`Self::scratch_len`] entries: the same arithmetic, no
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` or `x` is not of length `dim`, or `scratch` is short.
+    pub(crate) fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut [f64]) {
+        assert_eq!(b.len(), self.n);
+        assert_eq!(x.len(), self.n);
+        x.fill(0.0);
         for (comp, factor) in self.comps.iter().zip(&self.factors) {
             let Some(f) = factor else { continue };
+            let Some((&grounded, kept)) = comp.split_last() else {
+                continue;
+            };
             let mean = comp.iter().map(|&v| b[v]).sum::<f64>() / comp.len() as f64;
-            let rhs: Vec<f64> = comp[..comp.len() - 1]
-                .iter()
-                .map(|&v| b[v] - mean)
-                .collect();
-            let sol = f.solve(&rhs);
+            let sol = &mut scratch[..kept.len()];
+            for (s, &v) in sol.iter_mut().zip(kept) {
+                *s = b[v] - mean;
+            }
+            f.solve_in_place(sol);
             // Grounded vertex gets 0; shift to zero mean.
             let shift = sol.iter().sum::<f64>() / comp.len() as f64;
-            for (i, &v) in comp[..comp.len() - 1].iter().enumerate() {
-                x[v] = sol[i] - shift;
+            for (&s, &v) in sol.iter().zip(kept) {
+                x[v] = s - shift;
             }
-            if let Some(&grounded) = comp.last() {
-                x[grounded] = -shift;
-            }
+            x[grounded] = -shift;
         }
-        x
     }
 }
 

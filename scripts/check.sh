@@ -38,9 +38,6 @@ HICOND_THREADS=4 cargo test --offline --workspace -q
 step "schedule-perturbation stress (HICOND_THREADS=4, seeded jitter)"
 HICOND_THREADS=4 cargo test --offline -q --test sched_stress --test obs_stress
 
-step "linalg tests with the SELL-C layout feature"
-cargo test --offline -q -p hicond-linalg --features sell
-
 step "cargo build --examples"
 cargo build --offline --examples
 

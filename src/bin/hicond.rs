@@ -273,10 +273,7 @@ fn cmd_serve(path: &str, args: &[String]) -> Result<(), String> {
             hicond::serve::LineEvent::Eof => break,
             hicond::serve::LineEvent::TooLong { limit } => {
                 let reply = format!("ERR bad-length: request line exceeds {limit} bytes");
-                out.write_all(reply.as_bytes())
-                    .and_then(|_| out.write_all(b"\n"))
-                    .and_then(|_| out.flush())
-                    .map_err(|e| format!("stdout: {e}"))?;
+                hicond::serve::write_reply(&mut out, &reply).map_err(|e| format!("stdout: {e}"))?;
                 served += 1;
                 continue;
             }
@@ -289,10 +286,7 @@ fn cmd_serve(path: &str, args: &[String]) -> Result<(), String> {
             hicond::serve::Action::Ignore => continue,
             hicond::serve::Action::Quit => break,
         };
-        out.write_all(reply.as_bytes())
-            .and_then(|_| out.write_all(b"\n"))
-            .and_then(|_| out.flush())
-            .map_err(|e| format!("stdout: {e}"))?;
+        hicond::serve::write_reply(&mut out, &reply).map_err(|e| format!("stdout: {e}"))?;
         served += 1;
     }
     eprintln!("served {served} requests");

@@ -57,9 +57,11 @@ pub mod batch;
 pub mod server;
 
 pub use batch::{BatchConfig, BatchQueue, SubmitError};
-pub use server::{max_line_bytes, read_bounded_line, serve_tcp, LineEvent, ServeConfig};
+pub use server::{
+    max_line_bytes, read_bounded_line, serve_tcp, write_reply, LineEvent, ServeConfig,
+};
 
-use hicond_precond::{LaplacianSolver, Solution};
+use hicond_precond::{LaplacianSolver, Solution, SolveError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -223,6 +225,50 @@ pub enum Action {
 /// comes from the operator's own graph, not from the peer); `stats`
 /// accumulates this session's counters and latency histogram.
 pub fn respond(solver: &LaplacianSolver, n: usize, line: &str, stats: &ServeStats) -> Action {
+    respond_with(n, line, stats, |b, _trace| {
+        // reach: trusted(b holds exactly n finite f64 values — parse_rhs
+        // rejected everything else, so the solver numerics never see raw
+        // peer input)
+        Ok(solver.solve(&b))
+    })
+}
+
+/// Handles one request line against a shared [`BatchQueue`] instead of a
+/// private solver: solve requests park on the queue until the dispatcher
+/// folds them (with every other client's pending rhs) into one block
+/// solve. Meta verbs, parse errors, and replies are identical to
+/// [`respond`]; the only new outcome is `ERR busy` when admission
+/// control sheds the request. Infallible by design, like `respond`: the
+/// connection survives every malformed or shed input.
+pub fn respond_batched(queue: &BatchQueue, n: usize, line: &str, stats: &ServeStats) -> Action {
+    // The trace id survives batching because the dispatcher links it to
+    // the shared block solve's trace with a `batch_join` event.
+    respond_with(n, line, stats, |b, trace| match queue.submit(b, trace) {
+        // A dropped sender means the dispatcher is gone (drain finished
+        // without us, or it panicked): answer structurally, never hang.
+        Ok(rx) => rx
+            .recv()
+            .map_err(|_| "service is shutting down".to_string()),
+        Err(SubmitError::Busy { depth, limit }) => {
+            hicond_obs::counter_add("serve/shed", 1);
+            Err(format!(
+                "{depth} requests pending or solving (limit {limit}); retry later"
+            ))
+        }
+        Err(SubmitError::ShuttingDown) => Err("service is shutting down".to_string()),
+    })
+}
+
+/// The request core both handlers share: meta verbs, tracing, parsing,
+/// latency and error accounting, and reply formatting. `solve_step` runs
+/// the solve for a parsed rhs under the request's trace id; its `Err` is
+/// a shed (`ERR busy`) with the given detail.
+fn respond_with(
+    n: usize,
+    line: &str,
+    stats: &ServeStats,
+    solve_step: impl FnOnce(Vec<f64>, u64) -> Result<Result<Solution, SolveError>, String>,
+) -> Action {
     let trimmed = line.trim();
     if let Some(meta) = meta_action(trimmed, stats) {
         return meta;
@@ -258,101 +304,15 @@ pub fn respond(solver: &LaplacianSolver, n: usize, line: &str, stats: &ServeStat
             return Action::Reply(reply);
         }
     };
-    // audit: allow(instant-now) — wall-clock latency measurement for the
-    // stats report; the duration never feeds back into solver numerics.
+    // audit: allow(instant-now) — wall-clock latency (queue wait, if any,
+    // plus the solve) for the stats report; never feeds the numerics.
     let t0 = std::time::Instant::now();
-    // reach: trusted(b holds exactly n finite f64 values — parse_rhs
-    // rejected everything else, so the solver numerics never see raw
-    // peer input)
-    let outcome = solver.solve(&b);
+    let outcome = solve_step(b, trace);
     let us = t0.elapsed().as_secs_f64() * 1e6;
-    stats.latency_us.record(us);
-    hicond_obs::hist_record("serve/latency_us", us);
-    let (action, err) = match outcome {
-        Ok(sol) => (Action::Reply(ok_reply(&sol, stats)), 0u64),
-        Err(e) => {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            (Action::Reply(format!("ERR solve-failed: {e}")), 1u64)
-        }
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(detail) => return shed_reply(stats, us, detail),
     };
-    hicond_obs::flight::event_named(
-        hicond_obs::flight::EventKind::RequestClose,
-        "serve/request",
-        err,
-        us.to_bits(),
-    );
-    action
-}
-
-/// Handles one request line against a shared [`BatchQueue`] instead of a
-/// private solver: solve requests park on the queue until the dispatcher
-/// folds them (with every other client's pending rhs) into one block
-/// solve. Meta verbs, parse errors, and replies are identical to
-/// [`respond`]; the only new outcome is `ERR busy` when admission
-/// control sheds the request. Infallible by design, like `respond`: the
-/// connection survives every malformed or shed input.
-pub fn respond_batched(queue: &BatchQueue, n: usize, line: &str, stats: &ServeStats) -> Action {
-    let trimmed = line.trim();
-    if let Some(meta) = meta_action(trimmed, stats) {
-        return meta;
-    }
-    // Same per-request tracing contract as `respond`: the id survives
-    // batching because the dispatcher links it to the shared block
-    // solve's trace with a `batch_join` event.
-    let trace = hicond_obs::next_trace_id();
-    let _trace = hicond_obs::trace_scope(trace);
-    let req_seq = stats.seq.fetch_add(1, Ordering::Relaxed);
-    hicond_obs::flight::event_named(
-        hicond_obs::flight::EventKind::RequestOpen,
-        "serve/request",
-        req_seq,
-        0,
-    );
-    let _span = hicond_obs::span("serve_request");
-    hicond_obs::counter_add("serve/requests", 1);
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    let b = match parse_rhs(n, trimmed) {
-        Ok(b) => b,
-        Err(reply) => {
-            hicond_obs::counter_add("serve/bad_request", 1);
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-            hicond_obs::flight::event_named(
-                hicond_obs::flight::EventKind::RequestClose,
-                "serve/request",
-                1,
-                f64::to_bits(0.0),
-            );
-            return Action::Reply(reply);
-        }
-    };
-    // audit: allow(instant-now) — wall-clock latency (queue wait + block
-    // solve) for the stats report; never feeds back into the numerics.
-    let t0 = std::time::Instant::now();
-    let outcome = match queue.submit(b, trace) {
-        Ok(rx) => match rx.recv() {
-            Ok(res) => res,
-            // The dispatcher is gone (drain finished without us or it
-            // panicked): answer structurally, never hang or crash.
-            Err(_) => {
-                let us = t0.elapsed().as_secs_f64() * 1e6;
-                return shed_reply(stats, us, "service is shutting down".to_string());
-            }
-        },
-        Err(SubmitError::Busy { depth, limit }) => {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            hicond_obs::counter_add("serve/shed", 1);
-            return shed_reply(
-                stats,
-                us,
-                format!("{depth} requests pending or solving (limit {limit}); retry later"),
-            );
-        }
-        Err(SubmitError::ShuttingDown) => {
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            return shed_reply(stats, us, "service is shutting down".to_string());
-        }
-    };
-    let us = t0.elapsed().as_secs_f64() * 1e6;
     stats.latency_us.record(us);
     hicond_obs::hist_record("serve/latency_us", us);
     let (action, err) = match outcome {

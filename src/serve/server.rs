@@ -286,9 +286,15 @@ fn handle_connection(
     served
 }
 
-fn write_reply(w: &mut impl Write, reply: &str) -> std::io::Result<()> {
-    w.write_all(reply.as_bytes())?;
-    w.write_all(b"\n")?;
+/// Writes one reply line (`reply` plus `\n`) in a single write and
+/// flushes. The TCP sockets run without `TCP_NODELAY`, so a separate
+/// write for the newline would sit behind the peer's delayed ACK (tens
+/// of milliseconds on loopback) before the client saw a complete line.
+pub fn write_reply(w: &mut impl Write, reply: &str) -> std::io::Result<()> {
+    let mut line = String::with_capacity(reply.len() + 1);
+    line.push_str(reply);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     w.flush()
 }
 
@@ -374,6 +380,31 @@ mod tests {
             LineEvent::Line(s) => assert!(!s.is_empty(), "lossy decode keeps placeholders"),
             other => panic!("expected a line, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn each_reply_line_is_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        write_reply(&mut w, "ok stats requests=0").unwrap();
+        write_reply(&mut w, "ERR busy: retry later").unwrap();
+        assert_eq!(w.writes, 2, "one write per reply line");
+        assert_eq!(w.bytes, b"ok stats requests=0\nERR busy: retry later\n");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!    with a structured [`ArtifactError`], never a panic.
 //! 3. Cache publication is atomic: partially written entries are never
 //!    visible to readers, and orphaned temporaries are swept by `gc`.
-//! 4. Cache traffic is observable: hit/miss/store counters flow end to end.
+//!
+//! The cache-counter contract lives in `tests/artifact_counters.rs`: the
+//! counters are process-global, so it needs a test binary of its own.
 
 use hicond::artifact::{ArtifactError, Cache};
 use hicond::graph::generators;
@@ -150,33 +152,5 @@ fn corrupt_cache_entry_is_rejected_then_rebuilt() {
     assert!(solver.solve(&b).is_ok());
     // The rebuild republished a valid entry over the corrupt one.
     assert!(cache.verify().unwrap().bad.is_empty());
-    let _ = std::fs::remove_dir_all(cache.dir());
-}
-
-#[test]
-fn cache_hit_miss_counters_flow_end_to_end() {
-    hicond::obs::set_mode(hicond::obs::Mode::Json);
-    hicond::obs::reset();
-    let cache = Cache::at(tmpdir("counters"));
-    let g = planar_graph();
-    let opts = SolverOptions::default();
-
-    let (_, s1) = load_or_build(&cache, &g, &opts).unwrap();
-    let (_, s2) = load_or_build(&cache, &g, &opts).unwrap();
-    assert_eq!((s1, s2), (SolverSource::Built, SolverSource::Loaded));
-
-    let snap = hicond::obs::snapshot();
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    assert_eq!(counter("artifact/cache_miss"), 1);
-    assert_eq!(counter("artifact/cache_hit"), 1);
-    assert_eq!(counter("artifact/cache_store"), 1);
-    assert_eq!(counter("artifact/cache_corrupt"), 0);
-    hicond::obs::set_mode(hicond::obs::Mode::Off);
     let _ = std::fs::remove_dir_all(cache.dir());
 }
