@@ -124,7 +124,7 @@ fn baseline_pcg_1t_ns(path: &str) -> Option<u64> {
 /// offset per band instead of usize row pointers.
 fn spmv_bytes_per_nnz(n: usize, nnz: usize, blocked: bool) -> f64 {
     let ptr_bytes = if blocked {
-        let nbands = n.div_ceil(hicond_linalg::blocked::BAND_ROWS);
+        let nbands = n.div_ceil(hicond_linalg::BAND_ROWS);
         4 * (n + nbands) + 8 * nbands
     } else {
         8 * (n + 1)
@@ -316,20 +316,16 @@ fn main() {
     // ---- Kernel-level cycles-per-nnz phase (DESIGN.md §12) ----
     // Each variant pair is gated bitwise against its reference variant,
     // then timed single-threaded with invocations *interleaved* so slow
-    // machine drift cannot masquerade as a variant difference. The global
-    // dispatch threshold is forced on for the blocked/fused runs and
-    // restored afterwards, so the workload phase above is unaffected.
+    // machine drift cannot masquerade as a variant difference.
     let mut kernels: Vec<KernelRecord> = Vec::new();
     let nnz = a.nnz();
     {
-        // SpMV: unblocked reference vs row-band blocked layout. mul_into
-        // is the plain reference kernel regardless of the threshold;
-        // mul_into_with dispatches the blocked path once forced on.
-        hicond_linalg::set_spmv_block_threshold(Some(0));
+        // SpMV: the plain reference row loop (mul_into) vs the row-band
+        // blocked production kernel (spmv_into).
         let mut y_ref = vec![0.0; n];
         a.mul_into(&x, &mut y_ref);
         let mut y_blk = vec![0.0; n];
-        with_thread_cap(1, || a.mul_into_with(&x, &mut y_blk, Default::default()));
+        with_thread_cap(1, || a.spmv_into(&x, &mut y_blk));
         assert_eq!(
             bits(&y_ref),
             bits(&y_blk),
@@ -341,7 +337,7 @@ fn main() {
             hicond_bench::timed_median_pair_ns(
                 reps_fast,
                 || a.mul_into(&x, &mut y_a),
-                || a.mul_into_with(&x, &mut y_b, Default::default()),
+                || a.spmv_into(&x, &mut y_b),
             )
         });
         kernels.push(kernel_record(
@@ -407,7 +403,6 @@ fn main() {
             fus_ns,
             pcg_bytes_per_nnz(n, nnz, true, 14),
         ));
-        hicond_linalg::set_spmv_block_threshold(None);
     }
 
     // ---- Observability cost gate (DESIGN.md §13) ----
@@ -582,10 +577,6 @@ fn main() {
             rayon::pool::default_threads().to_string(),
         ),
         ("chunk_policy", rayon::pool::chunk_policy()),
-        (
-            "spmv_block_threshold",
-            hicond_linalg::spmv_block_threshold().to_string(),
-        ),
         (
             "note",
             format!(

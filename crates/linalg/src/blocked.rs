@@ -1,9 +1,8 @@
-//! Cache-blocked CSR SpMV: row-band blocking with a precomputed block index.
+//! Band-blocked CSR SpMV: the kernel behind every production SpMV
+//! ([`crate::csr::CsrMatrix::spmv_into`] and the CSR block apply).
 //!
 //! Plain CSR SpMV walks `row_ptr: &[usize]` and performs one indexed load
-//! per nonzero through three parallel arrays. On matrices whose working set
-//! exceeds the last-level cache, the row-pointer traffic and bounds checks
-//! become a measurable fraction of the per-nnz cost. This module trades a
+//! per nonzero through three parallel arrays. This module trades a
 //! one-time O(nrows) index build for a tighter steady-state kernel:
 //!
 //! * rows are grouped into **bands** of [`BAND_ROWS`] rows, so the output
@@ -17,89 +16,24 @@
 //!   exactly one worker, and each row is still a single sequential
 //!   reduction in storage order.
 //!
-//! **Bitwise contract.** Both blocked kernels accumulate every row in
+//! The kernel runs at every size: measured against the plain row loop it
+//! wins down to a single-band 10×10 grid (DESIGN.md §12), so there is no
+//! size cutoff below which the reference loop takes over.
+//!
+//! **Bitwise contract.** The blocked kernel accumulates every row in
 //! exactly the order [`crate::csr::CsrMatrix::mul_into`] does (increasing
 //! nonzero position, `v * x[c]` per element, one scalar accumulator per
 //! row). Blocking changes *which* pointer arithmetic finds the row, never
-//! the floating-point expression — so blocked and unblocked results are
-//! bitwise identical at any thread count, and the dispatch threshold is a
-//! pure performance knob that tests may pin to 0 or `usize::MAX` freely.
-//!
+//! the floating-point expression — so blocked and reference results are
+//! bitwise identical at any thread count.
+
 use crate::block::DenseBlock;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Rows per cache band. 1024 rows × (8B ptr + ~5 nnz × 12B) keeps a band's
 /// index and value traffic comfortably inside a 256 KiB L2 slice for the
 /// bounded-degree Laplacians this workspace solves.
 pub const BAND_ROWS: usize = 1024;
-
-/// Default nnz threshold above which [`crate::csr::CsrMatrix::mul_into_with`]
-/// routes through the blocked kernel. Below it the index build and extra
-/// indirection cost more than they save.
-pub const DEFAULT_BLOCK_NNZ: usize = 1 << 15;
-
-/// Sentinel meaning "no runtime override installed".
-const UNSET: usize = usize::MAX;
-
-/// Serializes tests that toggle the process-global threshold override.
-/// Results are threshold-independent (all kernels bitwise identical), but
-/// assertions *about the threshold value itself* must not interleave.
-#[cfg(test)]
-pub(crate) static TEST_THRESHOLD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-static BLOCK_NNZ_OVERRIDE: AtomicUsize = AtomicUsize::new(UNSET);
-
-/// Overrides the blocked-SpMV nnz dispatch threshold for this process.
-///
-/// `Some(0)` forces every SpMV through the blocked path (determinism tests
-/// use this), `Some(n)` sets the crossover, and `None` restores the
-/// environment/default resolution. Because blocked and unblocked kernels
-/// are bitwise identical, toggling this concurrently with solves is safe —
-/// it changes speed, never results. An override of `usize::MAX` disables
-/// blocking entirely.
-pub fn set_spmv_block_threshold(t: Option<usize>) {
-    // UNSET doubles as the sentinel; Some(usize::MAX) and None coincide in
-    // effect only when the default also resolves to MAX, so map MAX - 0
-    // explicitly: Some(MAX) means "never block", which the dispatch test
-    // `nnz >= MAX` already expresses for every finite matrix.
-    // ordering: Relaxed suffices — the threshold is a self-contained
-    // performance knob, not a publication latch: no other memory is
-    // released by this store, and readers seeing a stale value merely
-    // dispatch the other (bitwise-identical) kernel.
-    BLOCK_NNZ_OVERRIDE.store(t.unwrap_or(UNSET), Ordering::Relaxed);
-}
-
-/// Resolves the active blocked-SpMV nnz threshold: runtime override if one
-/// is installed, else `HICOND_SPMV_BLOCK_NNZ`, else [`DEFAULT_BLOCK_NNZ`].
-///
-/// # Panics
-/// Panics if `HICOND_SPMV_BLOCK_NNZ` is set but not a base-10 `usize` —
-/// the same strict stance as `HICOND_THREADS`: a set-but-garbled tuning
-/// variable is an operator error that must fail fast, not degrade silently.
-pub fn spmv_block_threshold() -> usize {
-    // ordering: Relaxed suffices — the value is complete in the atomic
-    // itself (no guarded payload to acquire), and a racing reader at worst
-    // picks the other bitwise-identical kernel for one dispatch.
-    let o = BLOCK_NNZ_OVERRIDE.load(Ordering::Relaxed);
-    if o != UNSET {
-        return o;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("HICOND_SPMV_BLOCK_NNZ") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) => v,
-            // A set-but-garbled env var is an operator error that must fail
-            // fast, not degrade silently.
-            // audit: allow(panic-path)
-            Err(_) => panic!(
-                "invalid HICOND_SPMV_BLOCK_NNZ value `{raw}`: expected a non-negative integer"
-            ),
-        },
-        Err(_) => DEFAULT_BLOCK_NNZ,
-    })
-}
 
 /// Precomputed row-band index over a CSR structure.
 ///
@@ -122,7 +56,7 @@ impl BlockIndex {
     ///
     /// Returns `None` if any single band holds more than `u32::MAX`
     /// nonzeros (≥ 4 Gi entries in 1024 rows) — callers fall back to the
-    /// unblocked kernel, which is bitwise identical anyway.
+    /// reference kernel, which is bitwise identical anyway.
     pub fn build(nrows: usize, row_ptr: &[usize]) -> Option<BlockIndex> {
         debug_assert_eq!(row_ptr.len(), nrows + 1);
         let nbands = nrows.div_ceil(BAND_ROWS);
@@ -152,12 +86,6 @@ impl BlockIndex {
         self.nnz_start.len()
     }
 
-    /// Heap bytes held by the index (for capacity accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.nnz_start.len() * std::mem::size_of::<usize>()
-            + self.local_ptr.len() * std::mem::size_of::<u32>()
-    }
-
     /// Start of band `b`'s entries inside `local_ptr` (each band owns
     /// `rows_in_band + 1` entries).
     #[inline]
@@ -177,9 +105,11 @@ impl BlockIndex {
         let band_nnz = lp[y_band.len()] as usize;
         let ci = &col_idx[base..base + band_nnz];
         let vs = &values[base..base + band_nnz];
-        for (i, yr) in y_band.iter_mut().enumerate() {
-            let lo = lp[i] as usize;
-            let hi = lp[i + 1] as usize;
+        // `windows(2)` leaves the per-row pointer loads without bounds
+        // checks; indexing `lp[i + 1]` made this kernel slower than the
+        // reference loop on small operators (DESIGN.md §12).
+        for (yr, w) in y_band.iter_mut().zip(lp.windows(2)) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
             let mut acc = 0.0;
             for (&c, &v) in ci[lo..hi].iter().zip(&vs[lo..hi]) {
                 // CsrMatrix validates col indices at construction,
@@ -190,46 +120,43 @@ impl BlockIndex {
         }
     }
 
-    /// Sequential blocked `y = A x`. Bitwise identical to
-    /// [`crate::csr::CsrMatrix::mul_into`] on the same operands.
+    /// Blocked `y = A x`, bitwise identical to
+    /// [`crate::csr::CsrMatrix::mul_into`] on the same operands. With
+    /// `parallel`, whole bands are distributed across pool workers; a
+    /// band's result does not depend on which worker runs it, so the
+    /// output is the same at any thread count.
     ///
     /// # Panics
     /// Panics if `y.len()` disagrees with the indexed row count.
-    pub fn mul_into(&self, col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
+    pub fn mul_into(
+        &self,
+        col_idx: &[u32],
+        values: &[f64],
+        x: &[f64],
+        y: &mut [f64],
+        parallel: bool,
+    ) {
         assert_eq!(y.len(), self.nrows, "blocked mul: y length");
         if hicond_obs::enabled() {
             hicond_obs::counter_add("spmv/blocks", self.nbands() as u64);
         }
-        for (b, y_band) in y.chunks_mut(BAND_ROWS).enumerate() {
-            self.band_into(b, col_idx, values, x, y_band);
-        }
-    }
-
-    /// Parallel blocked `y = A x`: whole bands are distributed across
-    /// workers, each band computed by the sequential band kernel. Since a
-    /// band's result does not depend on which worker runs it, the output is
-    /// bitwise identical to the sequential path at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `y.len()` disagrees with the indexed row count.
-    pub fn par_mul_into(&self, col_idx: &[u32], values: &[f64], x: &[f64], y: &mut [f64]) {
-        assert_eq!(y.len(), self.nrows, "blocked mul: y length");
-        if hicond_obs::enabled() {
-            hicond_obs::counter_add("spmv/blocks", self.nbands() as u64);
-        }
-        y.par_chunks_mut(BAND_ROWS)
-            .enumerate()
-            .for_each(|(b, y_band)| {
+        if parallel {
+            y.par_chunks_mut(BAND_ROWS)
+                .enumerate()
+                .for_each(|(b, y_band)| self.band_into(b, col_idx, values, x, y_band));
+        } else {
+            for (b, y_band) in y.chunks_mut(BAND_ROWS).enumerate() {
                 self.band_into(b, col_idx, values, x, y_band);
-            });
+            }
+        }
     }
 
     /// Multi-vector blocked SpMV: `y[:, j] = A x[:, j]` for each `j` in
     /// `active`. The sequential path is **band-major**: each matrix band's
     /// pointers, indices, and values are loaded once and feed all active
     /// columns while still hot in cache, instead of being re-streamed k
-    /// times. The parallel path runs [`Self::par_mul_into`] column by
-    /// column, so neither path allocates.
+    /// times. The parallel path runs the band-parallel [`Self::mul_into`]
+    /// column by column, so neither path allocates.
     ///
     /// The per-(band, column) work is exactly [`Self::band_into`], so each
     /// column's result is bitwise identical to [`Self::mul_into`] on that
@@ -251,7 +178,7 @@ impl BlockIndex {
         assert_eq!(y.n(), self.nrows, "blocked block mul: y length");
         if parallel {
             for &j in active {
-                self.par_mul_into(col_idx, values, x.col(j), y.col_mut(j));
+                self.mul_into(col_idx, values, x.col(j), y.col_mut(j), true);
             }
             return;
         }
@@ -294,15 +221,14 @@ mod tests {
             let a = banded(n, 3);
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
             let mut y_ref = vec![0.0; n];
-            let mut y_blk = vec![0.0; n];
-            let mut y_par = vec![0.0; n];
             a.mul_into(&x, &mut y_ref);
             let bi = BlockIndex::build(n, a.row_ptr()).expect("index builds");
-            bi.mul_into(a.col_idx(), a.values(), &x, &mut y_blk);
-            bi.par_mul_into(a.col_idx(), a.values(), &x, &mut y_par);
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&y_ref), bits(&y_blk), "n={n} sequential");
-            assert_eq!(bits(&y_ref), bits(&y_par), "n={n} parallel");
+            for parallel in [false, true] {
+                let mut y = vec![0.0; n];
+                bi.mul_into(a.col_idx(), a.values(), &x, &mut y, parallel);
+                assert_eq!(bits(&y_ref), bits(&y), "n={n} parallel={parallel}");
+            }
         }
     }
 
@@ -316,7 +242,7 @@ mod tests {
             let bi = BlockIndex::build(n, a.row_ptr()).expect("index builds");
             let mut refs: Vec<Vec<f64>> = vec![vec![0.0; n]; 3];
             for (x, y) in cols.iter().zip(refs.iter_mut()) {
-                bi.mul_into(a.col_idx(), a.values(), x, y);
+                bi.mul_into(a.col_idx(), a.values(), x, y, false);
             }
             let x = DenseBlock::from_columns(&cols);
             for parallel in [false, true] {
@@ -343,28 +269,11 @@ mod tests {
         let a = banded(2 * BAND_ROWS + 100, 2);
         let bi = BlockIndex::build(a.nrows(), a.row_ptr()).unwrap();
         assert_eq!(bi.nbands(), 3);
-        assert!(bi.heap_bytes() > 0);
         // Empty matrix: zero bands, still valid.
         let z = crate::csr::CsrMatrix::zeros(0, 0);
         let bz = BlockIndex::build(0, z.row_ptr()).unwrap();
         assert_eq!(bz.nbands(), 0);
         let mut y: Vec<f64> = vec![];
-        bz.mul_into(z.col_idx(), z.values(), &[], &mut y);
-    }
-
-    #[test]
-    fn threshold_override_roundtrip() {
-        let _guard = TEST_THRESHOLD_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        set_spmv_block_threshold(Some(0));
-        assert_eq!(spmv_block_threshold(), 0);
-        set_spmv_block_threshold(Some(123));
-        assert_eq!(spmv_block_threshold(), 123);
-        set_spmv_block_threshold(None);
-        // Default resolution (no env set in the test harness).
-        let t = spmv_block_threshold();
-        assert!(t == DEFAULT_BLOCK_NNZ || t > 0, "resolved {t}");
-        set_spmv_block_threshold(None);
+        bz.mul_into(z.col_idx(), z.values(), &[], &mut y, false);
     }
 }

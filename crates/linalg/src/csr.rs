@@ -5,11 +5,15 @@
 //! duplicate triplets and sums them — exactly what the algebraic quotient
 //! construction `Q = RᵀAR` of the paper's Definition 3.1 produces.
 
-use crate::blocked::{self, BlockIndex};
+use crate::blocked::BlockIndex;
 use crate::invariant::InvariantViolation;
-use crate::vector::Parallelism;
 use rayon::prelude::*;
 use std::sync::OnceLock;
+
+/// Row count from which an SpMV hands whole bands to the pool; smaller
+/// operators (most levels of a Steiner hierarchy) run their bands on the
+/// calling thread.
+const PAR_SPMV_ROWS: usize = 4096;
 
 /// A sparse matrix in CSR format over `f64`.
 ///
@@ -372,8 +376,8 @@ impl CsrMatrix {
 
     /// Sequential `y = A x` into a caller-provided buffer.
     ///
-    /// This is the **reference kernel**: every other SpMV path in the crate
-    /// (row-parallel, blocked, SELL) must reproduce its output bitwise. The
+    /// This is the **reference kernel**: the band-blocked production path
+    /// ([`CsrMatrix::spmv_into`]) must reproduce its output bitwise. The
     /// inner loop runs over row slices (`zip` of columns and values) so the
     /// optimizer drops the per-nonzero bounds checks; the accumulation
     /// order — increasing storage position, `v * x[c]` per term, one scalar
@@ -396,74 +400,40 @@ impl CsrMatrix {
         }
     }
 
-    /// Parallel `y = A x` (row-parallel; deterministic since each row is a
-    /// single sequential reduction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` length disagrees with the matrix shape.
-    pub fn par_mul_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "mul: x length");
-        assert_eq!(y.len(), self.nrows, "mul: y length");
-        let rp = &self.row_ptr;
-        let ci = &self.col_idx;
-        let vs = &self.values;
-        y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-            let lo = rp[r];
-            let hi = rp[r + 1];
-            let mut acc = 0.0;
-            for (&c, &v) in ci[lo..hi].iter().zip(&vs[lo..hi]) {
-                acc += v * x[c as usize];
-            }
-            *yr = acc;
-        });
-    }
-
-    /// The lazily built row-band index backing the blocked SpMV kernel, or
-    /// `None` when the structure cannot be band-indexed (a single band
-    /// would overflow `u32` local offsets). Built at most once per matrix;
-    /// the cache depends only on structure, so it remains valid across
-    /// [`CsrMatrix::values_mut`] edits.
-    pub fn block_index(&self) -> Option<&BlockIndex> {
-        self.bands
-            .get_or_init(|| BlockIndex::build(self.nrows, &self.row_ptr))
-            .as_ref()
-    }
-
-    /// `y = A x` under an execution policy.
-    ///
-    /// Matrices at or above the [`blocked::spmv_block_threshold`] nonzero
-    /// count route through the cache-blocked kernel (band-parallel when the
-    /// policy allows); smaller ones use the plain row loop. All paths are
-    /// bitwise identical, so the thresholds tune speed, never results.
+    /// `y = A x` through the band-blocked kernel, band-parallel from
+    /// 4096 rows. Bitwise identical to [`CsrMatrix::mul_into`] at any
+    /// thread count.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != ncols` or `y.len() != nrows`.
-    pub fn mul_into_with(&self, x: &[f64], y: &mut [f64], par: Parallelism) {
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "mul: x length");
         assert_eq!(y.len(), self.nrows, "mul: y length");
-        if self.nnz() >= blocked::spmv_block_threshold() {
-            if let Some(bi) = self.block_index() {
-                if par.is_parallel() && self.nrows >= 4096 {
-                    bi.par_mul_into(&self.col_idx, &self.values, x, y);
-                } else {
-                    bi.mul_into(&self.col_idx, &self.values, x, y);
-                }
-                return;
-            }
+        match self.spmv_path() {
+            Some((bands, parallel)) => bands.mul_into(&self.col_idx, &self.values, x, y, parallel),
+            None => self.mul_into(x, y),
         }
-        if par.is_parallel() && self.nrows >= 4096 {
-            self.par_mul_into(x, y);
-        } else {
-            self.mul_into(x, y);
-        }
+    }
+
+    /// The one SpMV dispatch, shared by [`CsrMatrix::spmv_into`] and the
+    /// block apply: the lazily built band index and whether its bands run
+    /// on the pool. `None` means a band would overflow its `u32` offsets,
+    /// and the caller runs the reference kernel instead. The index
+    /// depends only on structure, so it stays valid across
+    /// [`CsrMatrix::values_mut`] edits.
+    pub(crate) fn spmv_path(&self) -> Option<(&BlockIndex, bool)> {
+        let bands = self
+            .bands
+            .get_or_init(|| BlockIndex::build(self.nrows, &self.row_ptr))
+            .as_ref()?;
+        Some((bands, self.nrows >= PAR_SPMV_ROWS))
     }
 
     /// Allocating `A x`.
     pub fn mul(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.nrows];
-        self.mul_into_with(x, &mut y, Parallelism::default());
+        self.spmv_into(x, &mut y);
         y
     }
 
@@ -817,56 +787,29 @@ mod tests {
     }
 
     #[test]
-    fn par_matvec_matches() {
-        let n = 10_000;
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 2.0);
-            if i + 1 < n {
-                b.push_sym(i, i + 1, -1.0);
-            }
-        }
-        let a = b.build();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.mul_into(&x, &mut y1);
-        a.par_mul_into(&x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
     fn blocked_dispatch_is_bitwise_transparent() {
-        // Force every mul_into_with through the blocked kernel and check it
-        // agrees bitwise with the reference at both parallelism policies.
-        let _guard = crate::blocked::TEST_THRESHOLD_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let n = 9_000;
-        let mut b = CooBuilder::new(n, n);
-        for i in 0..n {
-            b.push(i, i, 3.0);
-            if i + 1 < n {
-                b.push_sym(i, i + 1, -1.0);
+        // Sequential and band-parallel sides of the dispatch cutoff.
+        for n in [PAR_SPMV_ROWS - 1, 9_000] {
+            let mut b = CooBuilder::new(n, n);
+            for i in 0..n {
+                b.push(i, i, 3.0);
+                if i + 1 < n {
+                    b.push_sym(i, i + 1, -1.0);
+                }
+                if i + 37 < n {
+                    b.push_sym(i, i + 37, -0.5);
+                }
             }
-            if i + 37 < n {
-                b.push_sym(i, i + 37, -0.5);
-            }
+            let a = b.build();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+            let mut y_ref = vec![0.0; n];
+            let mut y = vec![0.0; n];
+            a.mul_into(&x, &mut y_ref);
+            a.spmv_into(&x, &mut y);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y_ref), bits(&y), "n={n}");
+            assert_eq!(a.spmv_path().map(|(_, par)| par), Some(n >= PAR_SPMV_ROWS));
         }
-        let a = b.build();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut y_ref = vec![0.0; n];
-        a.mul_into(&x, &mut y_ref);
-        crate::blocked::set_spmv_block_threshold(Some(0));
-        let mut y_seq = vec![0.0; n];
-        let mut y_par = vec![0.0; n];
-        a.mul_into_with(&x, &mut y_seq, Parallelism::Sequential);
-        a.mul_into_with(&x, &mut y_par, Parallelism::Parallel);
-        crate::blocked::set_spmv_block_threshold(None);
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&y_ref), bits(&y_seq));
-        assert_eq!(bits(&y_ref), bits(&y_par));
-        assert!(a.block_index().is_some());
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! * generalized eigenvalue (matrix pencil) computations behind the support
 //!   numbers σ(A,B) of support theory ([`pencil`]).
 //!
-//! Everything here is written from scratch on `f64`, with rayon-parallel
-//! kernels where the access pattern allows and deterministic sequential
-//! fallbacks controlled by [`Parallelism`].
+//! Everything here is written from scratch on `f64`. SpMV runs one
+//! band-blocked kernel ([`CsrMatrix::spmv_into`]), band-parallel on large
+//! operators; the vector kernels go parallel by length. Every parallel
+//! path is bitwise identical to its sequential reference at any thread
+//! count, so tests pin sequential runs with `rayon::pool::with_thread_cap`.
 
 pub mod block;
-pub mod blocked;
+mod blocked;
 pub mod cg;
 pub mod chebyshev;
 pub mod csr;
@@ -39,7 +41,7 @@ pub mod tridiag;
 pub mod vector;
 
 pub use block::{block_pcg_solve, DenseBlock};
-pub use blocked::{set_spmv_block_threshold, spmv_block_threshold, BlockIndex};
+pub use blocked::BAND_ROWS;
 pub use cg::{
     cg_solve, pcg_solve, pcg_solve_unfused, CgOptions, CgResult, IdentityPreconditioner,
     Preconditioner,
@@ -54,7 +56,7 @@ pub use ops::LinearOperator;
 pub use pencil::{pencil_lambda_max, PencilOptions};
 pub use schur::schur_complement;
 pub use ssor::SsorPreconditioner;
-pub use vector::{axpy, dot, norm2, scale, Parallelism};
+pub use vector::{axpy, dot, norm2, scale};
 
 /// Relative tolerance used by equality-style assertions across the workspace.
 pub const DEFAULT_REL_TOL: f64 = 1e-10;

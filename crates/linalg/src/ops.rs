@@ -8,7 +8,7 @@
 
 use crate::block::DenseBlock;
 use crate::csr::CsrMatrix;
-use crate::vector::{axpby_inplace, hadamard_inplace, hadamard_into, Parallelism};
+use crate::vector::{axpby_inplace, hadamard_inplace, hadamard_into};
 
 /// A symmetric real linear operator on `R^n`.
 pub trait LinearOperator {
@@ -62,26 +62,24 @@ impl LinearOperator for CsrMatrix {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.mul_into_with(x, y, Parallelism::default());
+        self.spmv_into(x, y);
     }
 
-    /// Blocked block SpMV ([`crate::blocked::BlockIndex::mul_block_into`]:
-    /// band-major when sequential), with the same dispatch thresholds as
-    /// [`CsrMatrix::mul_into_with`]. Allocation-free.
-    /// Per-column results are bitwise identical to `apply_into` on every
-    /// path, so the dispatch remains a pure performance knob.
+    /// Band-major block SpMV through the same dispatch as
+    /// [`CsrMatrix::spmv_into`]. Allocation-free; each column is bitwise
+    /// identical to `apply_into` on that column.
     fn apply_block(&self, x: &DenseBlock, y: &mut DenseBlock, active: &[usize]) {
         assert_eq!(x.n(), self.ncols(), "apply_block: x column length");
         assert_eq!(y.n(), self.nrows(), "apply_block: y column length");
-        if self.nnz() >= crate::blocked::spmv_block_threshold() {
-            if let Some(bi) = self.block_index() {
-                let parallel = Parallelism::default().is_parallel() && self.nrows() >= 4096;
-                bi.mul_block_into(self.col_idx(), self.values(), x, y, active, parallel);
-                return;
+        match self.spmv_path() {
+            Some((bands, parallel)) => {
+                bands.mul_block_into(self.col_idx(), self.values(), x, y, active, parallel)
             }
-        }
-        for &j in active {
-            self.mul_into_with(x.col(j), y.col_mut(j), Parallelism::default());
+            None => {
+                for &j in active {
+                    self.mul_into(x.col(j), y.col_mut(j));
+                }
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Dense vector kernels with optional rayon parallelism.
 //!
 //! Vectors are plain `&[f64]` / `&mut [f64]` slices; the kernels here are the
-//! BLAS-1 subset the iterative solvers need. Each has a sequential and a
-//! parallel path selected by [`Parallelism`].
+//! BLAS-1 subset the iterative solvers need. The parallel kernels fall
+//! back to their sequential loop at or below [`MIN_PAR_CHUNK`] elements.
 //!
 //! # Chunk geometry and determinism
 //!
@@ -23,27 +23,6 @@ use rayon::prelude::*;
 /// (re-exported geometry from `rayon::pool::chunk_len`).
 fn chunk_len(n: usize) -> usize {
     rayon::pool::chunk_len(n)
-}
-
-/// Execution-policy switch threaded through the workspace.
-///
-/// `Sequential` pins deterministic single-threaded execution (used by tests
-/// and as a baseline in the speedup experiments); `Parallel` uses rayon's
-/// global pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Single-threaded, fully deterministic.
-    Sequential,
-    /// rayon global thread pool.
-    #[default]
-    Parallel,
-}
-
-impl Parallelism {
-    /// True if this policy runs on the rayon pool.
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Parallelism::Parallel)
-    }
 }
 
 /// Dot product `xᵀy`. Panics if lengths differ.

@@ -212,13 +212,13 @@ impl MultilevelSteiner {
         let n = r.len();
         let mut v1: Vec<f64> = (0..n).map(|v| self.omega * l.inv_d[v] * r[v]).collect();
         let mut av = vec![0.0; n];
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
+        l.lap.spmv_into(&v1, &mut av);
         let r2: Vec<f64> = (0..n).map(|v| r[v] - av[v]).collect();
         let coarse = self.cycle(level + 1, &restrict(&r2));
         for (v, val) in v1.iter_mut().enumerate() {
             *val += coarse[l.assignment[v] as usize];
         }
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
+        l.lap.spmv_into(&v1, &mut av);
         (0..n)
             .map(|v| v1[v] + self.omega * l.inv_d[v] * (r[v] - av[v]))
             .collect()
@@ -237,7 +237,7 @@ impl MultilevelSteiner {
     /// Every per-column arithmetic expression, and its evaluation order,
     /// is copied verbatim from the test-only recursive reference `cycle`
     /// (the level SpMV goes through `apply_block`, whose per-column output
-    /// is contractually bitwise equal to `mul_into_with`; the restriction
+    /// is contractually bitwise equal to `spmv_into`; the restriction
     /// accumulates the summand `r[v] − (Av₁)[v]` in the same vertex order
     /// the reference materializes it), so each column of the result is
     /// bitwise identical to a single-vector cycle on that column.

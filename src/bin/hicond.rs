@@ -357,11 +357,9 @@ fn cmd_client(addr: &str) -> Result<(), String> {
     for line in input.lines() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
         let quitting = line.trim() == "quit";
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
-            .and_then(|_| writer.flush())
-            .map_err(|e| format!("send: {e}"))?;
+        // One write per line: a separate newline write would sit behind
+        // the server's delayed ACK (tens of ms per request on loopback).
+        hicond::serve::write_reply(&mut writer, &line).map_err(|e| format!("send: {e}"))?;
         if quitting {
             break;
         }

@@ -29,17 +29,11 @@ const LINE_SLACK_BYTES: usize = 4096;
 const LINE_BYTES_PER_VALUE: usize = 32;
 
 /// The request-line byte limit for an `n`-dimensional solver:
-/// `32·n + 4096`, overridable with `HICOND_SERVE_MAX_LINE` (absolute
-/// bytes). The limit bounds reader memory per connection — it is a
-/// robustness guard, not a protocol parameter.
+/// `32·n + 4096`. The limit bounds reader memory per connection — it is
+/// a robustness guard, not a protocol parameter; callers that need a
+/// different bound set [`ServeConfig::max_line`] directly.
 pub fn max_line_bytes(n: usize) -> usize {
-    match std::env::var("HICOND_SERVE_MAX_LINE") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) if v >= 16 => v,
-            _ => n.saturating_mul(LINE_BYTES_PER_VALUE) + LINE_SLACK_BYTES,
-        },
-        Err(_) => n.saturating_mul(LINE_BYTES_PER_VALUE) + LINE_SLACK_BYTES,
-    }
+    n.saturating_mul(LINE_BYTES_PER_VALUE) + LINE_SLACK_BYTES
 }
 
 /// One read attempt's outcome. Oversized lines are consumed up to their
@@ -286,10 +280,11 @@ fn handle_connection(
     served
 }
 
-/// Writes one reply line (`reply` plus `\n`) in a single write and
-/// flushes. The TCP sockets run without `TCP_NODELAY`, so a separate
+/// Writes one protocol line (`reply` plus `\n`) in a single write and
+/// flushes; the server sends replies and `hicond client` sends requests
+/// through it. The TCP sockets run without `TCP_NODELAY`, so a separate
 /// write for the newline would sit behind the peer's delayed ACK (tens
-/// of milliseconds on loopback) before the client saw a complete line.
+/// of milliseconds on loopback) before the peer saw a complete line.
 pub fn write_reply(w: &mut impl Write, reply: &str) -> std::io::Result<()> {
     let mut line = String::with_capacity(reply.len() + 1);
     line.push_str(reply);
@@ -409,7 +404,7 @@ mod tests {
 
     #[test]
     fn max_line_bytes_scales_with_dimension() {
-        assert!(max_line_bytes(1000) >= 32 * 1000);
-        assert!(max_line_bytes(0) >= 16);
+        assert_eq!(max_line_bytes(1000), 32 * 1000 + 4096);
+        assert_eq!(max_line_bytes(0), 4096);
     }
 }

@@ -51,21 +51,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn par_mul_into_bitwise_identical() {
-    // Large enough that the row fan-out actually dispatches (> 4096 rows).
-    let g = generators::grid2d(90, 90, |u, v| 1.0 + ((u * 3 + v) % 7) as f64);
-    let a = laplacian(&g);
-    let x: Vec<f64> = (0..a.nrows())
-        .map(|i| ((i * 2654435761) % 997) as f64 / 498.5 - 1.0)
-        .collect();
-    assert_cap_invariant("par_mul_into", || {
-        let mut y = vec![0.0; a.nrows()];
-        a.par_mul_into(&x, &mut y);
-        bits(&y)
-    });
-}
-
-#[test]
 fn list_ranking_identical() {
     // A long path: next[i] = i+1, last points to itself.
     let n = 30_000u32;
@@ -145,37 +130,51 @@ fn pcg_solve_identical() {
 
 #[test]
 fn blocked_spmv_bitwise_identical() {
-    // Force every dispatch through the row-band blocked kernel (threshold
-    // 0) and require bitwise agreement with the unblocked reference at
-    // every cap. The blocked path must be a pure layout change: same
-    // per-row accumulation order, same bits.
-    let g = generators::grid2d(90, 90, |u, v| 1.0 + ((u * 7 + v) % 5) as f64);
-    let a = laplacian(&g);
-    let n = a.nrows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin()).collect();
-    let mut reference = vec![0.0; n];
-    a.mul_into(&x, &mut reference);
-    hicond_linalg::set_spmv_block_threshold(Some(0));
-    assert_cap_invariant("blocked_spmv", || {
+    // The row-band blocked kernel runs every production SpMV, so it must
+    // be a pure layout change at every size: same per-row accumulation
+    // order as the reference row loop, same bits, at every cap. The three
+    // operators are a one-band 10×10 grid (460 nnz), the 16³ OCT volume
+    // (4096 rows, the first band-parallel size), and a 90×90 grid.
+    let operators = [
+        laplacian(&generators::grid2d(10, 10, |u, v| {
+            1.0 + ((u + v) % 3) as f64
+        })),
+        laplacian(&generators::oct_like_grid3d(
+            16,
+            16,
+            16,
+            42,
+            generators::OctParams::default(),
+        )),
+        laplacian(&generators::grid2d(90, 90, |u, v| {
+            1.0 + ((u * 7 + v) % 5) as f64
+        })),
+    ];
+    for a in &operators {
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin()).collect();
+        let mut reference = vec![0.0; n];
+        a.mul_into(&x, &mut reference);
+        assert_cap_invariant("blocked_spmv", || {
+            let mut y = vec![0.0; n];
+            a.spmv_into(&x, &mut y);
+            bits(&y)
+        });
         let mut y = vec![0.0; n];
-        a.mul_into_with(&x, &mut y, Default::default());
-        bits(&y)
-    });
-    let mut y = vec![0.0; n];
-    a.mul_into_with(&x, &mut y, Default::default());
-    hicond_linalg::set_spmv_block_threshold(None);
-    assert_eq!(
-        bits(&reference),
-        bits(&y),
-        "blocked dispatch must match the unblocked reference bitwise"
-    );
+        a.spmv_into(&x, &mut y);
+        assert_eq!(
+            bits(&reference),
+            bits(&y),
+            "n={n}: blocked SpMV must match the reference row loop bitwise"
+        );
+    }
 }
 
 #[test]
 fn fused_pcg_bitwise_identical_to_unfused() {
     // The fused solver (apply+dot and x/r/norm single-sweep kernels) must
-    // reproduce the unfused trajectory bit for bit at every cap — with the
-    // blocked SpMV forced on as well, covering the composed fast path.
+    // reproduce the unfused trajectory bit for bit at every cap, both over
+    // the blocked SpMV.
     let g = generators::grid2d(120, 120, |u, v| 1.0 + ((u + 3 * v) % 4) as f64);
     let a = laplacian(&g);
     let n = a.nrows();
@@ -187,7 +186,6 @@ fn fused_pcg_bitwise_identical_to_unfused() {
         max_iter: 60,
         record_residuals: true,
     };
-    hicond_linalg::set_spmv_block_threshold(Some(0));
     let unfused = with_thread_cap(1, || {
         let r = hicond_linalg::pcg_solve_unfused(&a, &m, &b, &opts);
         (bits(&r.x), bits(&r.residual_history), r.iterations)
@@ -200,7 +198,6 @@ fn fused_pcg_bitwise_identical_to_unfused() {
         let r = pcg_solve(&a, &m, &b, &opts);
         (bits(&r.x), bits(&r.residual_history), r.iterations)
     });
-    hicond_linalg::set_spmv_block_threshold(None);
     assert_eq!(
         unfused, fused,
         "fused PCG must match the unfused residual trajectory bitwise"

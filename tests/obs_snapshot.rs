@@ -34,7 +34,7 @@ fn pcg_on_planar_mesh_emits_full_snapshot() {
         let sol = solver.solve(&b).expect("solve succeeds");
         assert!(sol.iterations > 0);
         let mut y = vec![0.0; big_a.nrows()];
-        big_a.par_mul_into(&x, &mut y);
+        big_a.spmv_into(&x, &mut y);
         assert!(y.iter().any(|v| *v != 0.0));
     });
 

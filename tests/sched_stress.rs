@@ -86,24 +86,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn spmv_stable_under_schedule_jitter() {
-    // Large enough that the row fan-out actually dispatches (> 4096 rows).
-    let g = generators::grid2d(80, 80, |u, v| 1.0 + ((u * 5 + v) % 11) as f64);
-    let a = laplacian(&g);
-    let x: Vec<f64> = (0..a.nrows())
-        .map(|i| ((i * 2654435761) % 1013) as f64 / 506.5 - 1.0)
-        .collect();
-    assert_schedule_invariant("par_mul_into", || {
-        let mut y = vec![0.0; a.nrows()];
-        a.par_mul_into(&x, &mut y);
-        bits(&y)
-    });
-}
-
-#[test]
 fn pcg_stable_under_schedule_jitter() {
     // 130×130 = 16900 > 2^14: the BLAS-1 chunked kernels dispatch too,
-    // not just the row-parallel SpMV.
+    // not just the band-parallel SpMV.
     let g = generators::grid2d(130, 130, |u, v| 1.0 + ((u + 3 * v) % 5) as f64);
     let a = laplacian(&g);
     // Zero-sum rhs keeps the singular Laplacian system consistent.
@@ -127,23 +112,38 @@ fn blocked_spmv_stable_under_schedule_jitter() {
     // Band-parallel blocked SpMV under perturbed claim interleavings: the
     // whole-band → worker assignment may shuffle arbitrarily, but each
     // band's rows reduce sequentially in storage order, so the output must
-    // match the unperturbed unblocked reference bit for bit.
-    let g = generators::grid2d(80, 80, |u, v| 1.0 + ((u * 3 + 2 * v) % 9) as f64);
-    let a = laplacian(&g);
-    let n = a.nrows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).sin()).collect();
-    let mut reference = vec![0.0; n];
-    a.mul_into(&x, &mut reference);
-    hicond_linalg::set_spmv_block_threshold(Some(0));
-    assert_schedule_invariant("blocked_spmv", || {
+    // match the reference row loop bit for bit. The operators straddle
+    // the band-parallel cutoff: a one-band 10×10 grid (460 nnz), the 16³
+    // OCT volume (4096 rows) and an 80×80 grid.
+    let operators = [
+        laplacian(&generators::grid2d(10, 10, |u, v| {
+            1.0 + ((u + 2 * v) % 3) as f64
+        })),
+        laplacian(&generators::oct_like_grid3d(
+            16,
+            16,
+            16,
+            42,
+            generators::OctParams::default(),
+        )),
+        laplacian(&generators::grid2d(80, 80, |u, v| {
+            1.0 + ((u * 3 + 2 * v) % 9) as f64
+        })),
+    ];
+    for a in &operators {
+        let n = a.nrows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).sin()).collect();
+        let mut reference = vec![0.0; n];
+        a.mul_into(&x, &mut reference);
+        assert_schedule_invariant("blocked_spmv", || {
+            let mut y = vec![0.0; n];
+            a.spmv_into(&x, &mut y);
+            bits(&y)
+        });
         let mut y = vec![0.0; n];
-        a.mul_into_with(&x, &mut y, Default::default());
-        bits(&y)
-    });
-    let mut y = vec![0.0; n];
-    a.mul_into_with(&x, &mut y, Default::default());
-    hicond_linalg::set_spmv_block_threshold(None);
-    assert_eq!(bits(&reference), bits(&y), "blocked vs unblocked reference");
+        a.spmv_into(&x, &mut y);
+        assert_eq!(bits(&reference), bits(&y), "n={n}: blocked vs reference");
+    }
 }
 
 #[test]
@@ -161,14 +161,12 @@ fn fused_pcg_stable_under_schedule_jitter() {
         max_iter: 60,
         record_residuals: true,
     };
-    hicond_linalg::set_spmv_block_threshold(Some(0));
     let unfused = hicond_linalg::pcg_solve_unfused(&a, &m, &b, &opts);
     assert_schedule_invariant("fused_pcg", || {
         let r = pcg_solve(&a, &m, &b, &opts);
         (bits(&r.x), bits(&r.residual_history), r.iterations)
     });
     let fused = pcg_solve(&a, &m, &b, &opts);
-    hicond_linalg::set_spmv_block_threshold(None);
     assert_eq!(
         (
             bits(&unfused.x),
