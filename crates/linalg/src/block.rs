@@ -3,13 +3,23 @@
 //! The paper's economic argument — pay for one `[φ, ρ]` decomposition, then
 //! amortize it across a *stream* of solves — extends one level down: when k
 //! right-hand sides are in flight at once, the matrix and the preconditioner
-//! hierarchy can be traversed **once per iteration for the whole block**
-//! instead of once per column. [`block_pcg_solve`] runs k interleaved PCG
+//! hierarchy can be traversed **once per iteration for a group of columns**
+//! instead of once per column. The engine runs k interleaved PCG
 //! iterations over a column-major [`DenseBlock`], feeding every active
 //! column from shared operator sweeps ([`crate::ops::LinearOperator::apply_block`],
 //! [`crate::cg::Preconditioner::apply_dot_block`]). A solo solve
 //! ([`crate::cg::pcg_solve`]) is the k = 1 block, so this is the only
 //! production PCG loop.
+//!
+//! # Column fan-out
+//!
+//! At serve sizes, splitting each kernel across threads costs more than it
+//! saves, while whole columns are independent work. [`block_pcg_solve`]
+//! therefore cuts the k columns into `g = min(k, current_num_threads())`
+//! contiguous groups and runs the engine on each group's sub-block in one
+//! pool dispatch. Inside a group the kernels run inline (the pool's
+//! nested-dispatch rule); when another caller holds the pool, the groups
+//! run one after another on the calling thread.
 //!
 //! # Masking
 //!
@@ -30,12 +40,13 @@
 //! geometry, and block operator applies whose per-column output is
 //! contractually bitwise equal to the single-vector apply. Interleaving columns reorders *between* columns,
 //! never *within* one — no arithmetic crosses columns, so each column's
-//! floating-point stream is unchanged. `tests/block_pcg.rs` holds the
-//! engine to this.
+//! floating-point stream is unchanged, whichever group (and thread) it
+//! runs in. `tests/block_pcg.rs` holds the engine to this.
 
 use crate::cg::{CgOptions, CgResult, Preconditioner};
 use crate::ops::LinearOperator;
 use crate::vector::{dot_with_scratch, fused_update_x_r, norm2, scratch_len, xpby};
+use rayon::prelude::*;
 
 /// A dense multi-vector: k columns of length n, stored column-major so
 /// every column is one contiguous `&[f64]` slice — the layout the
@@ -110,6 +121,15 @@ impl DenseBlock {
         &mut self.data[j * self.n..(j + 1) * self.n]
     }
 
+    /// Columns `start..end` as a new block.
+    fn columns(&self, start: usize, end: usize) -> DenseBlock {
+        DenseBlock {
+            n: self.n,
+            k: end - start,
+            data: self.data[start * self.n..end * self.n].to_vec(),
+        }
+    }
+
     /// Consumes the block into its k columns.
     pub fn into_columns(mut self) -> Vec<Vec<f64>> {
         let mut out = Vec::with_capacity(self.k);
@@ -133,11 +153,15 @@ fn residual_milestone_id() -> u32 {
 /// columns of `b`. This is the workspace's only production PCG loop:
 /// [`crate::cg::pcg_solve`] is its k = 1 case.
 ///
+/// The columns are cut into `g = min(k, current_num_threads())` contiguous
+/// groups, and each group's sub-block runs the engine in one pool dispatch
+/// (see the module docs); g = 1 runs the engine directly on `b`.
+///
 /// Per iteration the engine performs **one** operator sweep
 /// ([`LinearOperator::apply_block`]) and **one** fused preconditioner
 /// sweep ([`Preconditioner::apply_dot_block`], which also yields each
-/// column's `rᵀz`) over the active columns, then the per-column scalar
-/// recurrences, with `x += αp`, `r −= α·Ap` and `‖r‖²` in one pass
+/// column's `rᵀz`) over its group's active columns, then the per-column
+/// scalar recurrences, with `x += αp`, `r −= α·Ap` and `‖r‖²` in one pass
 /// ([`fused_update_x_r`]). Columns that converge, hit `max_iter`, or
 /// break down numerically freeze and drop out of subsequent sweeps.
 ///
@@ -152,21 +176,46 @@ fn residual_milestone_id() -> u32 {
 ///
 /// # Telemetry
 ///
-/// Observe-only, so on/off runs are bitwise identical: a `pcg` span, the
-/// `cg/solves` (one per column) and `cg/iterations` counters, the
-/// `cg/residual` trace of the first nonzero column, a convergence
-/// watchdog per column, and a flight milestone each time a column's
-/// relative residual crosses a decade.
+/// Observe-only, so on/off runs are bitwise identical: a `pcg` span per
+/// group, the `cg/solves` (one per column) and `cg/iterations` counters,
+/// the `cg/residual` trace of the first group's first nonzero column, a
+/// convergence watchdog per column, and a flight milestone each time a
+/// column's relative residual crosses a decade.
 ///
 /// # Panics
 ///
 /// Panics if the block shape or the preconditioner dimension disagrees
 /// with the matrix.
-pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
+pub fn block_pcg_solve<A, M>(a: &A, m: &M, b: &DenseBlock, opts: &CgOptions) -> Vec<CgResult>
+where
+    A: LinearOperator + Sync,
+    M: Preconditioner + Sync,
+{
+    let k = b.k();
+    let groups = k.min(rayon::current_num_threads());
+    if groups <= 1 {
+        return pcg_engine(a, m, b, opts, true);
+    }
+    let per_group: Vec<Vec<CgResult>> = (0..groups)
+        .into_par_iter()
+        .map(|u| {
+            let (start, end) = rayon::pool::block_range(k, groups, u);
+            pcg_engine(a, m, &b.columns(start, end), opts, u == 0)
+        })
+        .collect();
+    per_group.into_iter().flatten().collect()
+}
+
+/// The PCG engine behind [`block_pcg_solve`], on one block of columns and
+/// the calling thread. `trace_residual` selects whether this block owns
+/// the `cg/residual` trace (one block per solve does, so concurrent
+/// groups never interleave their points in it).
+pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
     a: &A,
     m: &M,
     b: &DenseBlock,
     opts: &CgOptions,
+    trace_residual: bool,
 ) -> Vec<CgResult> {
     let n = a.dim();
     let k = b.k();
@@ -199,7 +248,7 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             active.push(j);
         }
     }
-    let traced = active.first().copied();
+    let traced = active.first().copied().filter(|_| trace_residual);
     // The watchdogs and milestones read computed residuals and never
     // produce a value the iteration uses.
     let mut watchdogs: Vec<hicond_obs::Watchdog> = Vec::new();
@@ -209,9 +258,11 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             "cg/scratch_bytes",
             8 * (5 * (n * k) as u64 + scratch_len(n) as u64),
         );
-        // Reserve the whole series so per-iteration pushes never
-        // allocate.
-        hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
+        if trace_residual {
+            // Reserve the whole series so per-iteration pushes never
+            // allocate.
+            hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
+        }
         watchdogs.resize_with(k, hicond_obs::Watchdog::new);
     }
     // Next decade of each column's relative residual that fires a flight

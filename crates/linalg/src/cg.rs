@@ -8,7 +8,7 @@
 //! have the constant vector in their kernel — as long as `b` is orthogonal
 //! to the kernel; iterates then stay in the kernel's complement.
 
-use crate::block::{block_pcg_solve, DenseBlock};
+use crate::block::{pcg_engine, DenseBlock};
 use crate::ops::LinearOperator;
 use crate::vector::{
     dot_with_scratch, fused_axpy_dot_self, fused_copy_dot, fused_scale_dot, norm2, par_axpy,
@@ -187,7 +187,7 @@ pub fn cg_solve<A: LinearOperator>(a: &A, b: &[f64], opts: &CgOptions) -> CgResu
 /// Steiner preconditioner of the paper enters here through its Schur
 /// complement action (see `hicond-precond`).
 ///
-/// A one-column [`block_pcg_solve`]: the block engine is the only PCG
+/// A one-column [`crate::block_pcg_solve`]: the block engine is the only PCG
 /// loop, so a solo solve runs the same fused iteration (and emits the same
 /// telemetry) as every column of a batch. Bitwise identical to
 /// [`pcg_solve_unfused`]; CI gates on the equivalence.
@@ -204,7 +204,7 @@ pub fn pcg_solve<A: LinearOperator, M: Preconditioner>(
     let mut rhs = DenseBlock::new(b.len(), 1);
     rhs.col_mut(0).copy_from_slice(b);
     // A one-column block yields exactly one result.
-    block_pcg_solve(a, m, &rhs, opts).pop().unwrap_or_default()
+    pcg_engine(a, m, &rhs, opts, true).pop().unwrap_or_default()
 }
 
 /// The textbook (unfused) PCG iteration: separate sweeps for the `x`

@@ -23,6 +23,26 @@ thread_local! {
     static PATHS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Span depth that [`reserve_thread`] presizes the thread-local buffers for.
+const RESERVED_DEPTH: usize = 8;
+/// Path length (bytes) that [`reserve_thread`] presizes each level for.
+const RESERVED_PATH: usize = 128;
+
+/// Presizes this thread's span stack and path buffers, so spans it opens
+/// later (up to 8 deep, paths up to 128 bytes) never allocate. Pool
+/// workers call this once at startup: which worker first runs a
+/// span-opening unit is up to the scheduler, and without it that
+/// worker's first span would allocate in the middle of a solve.
+pub fn reserve_thread() {
+    STACK.with(|s| s.borrow_mut().reserve(RESERVED_DEPTH));
+    PATHS.with(|p| {
+        let mut p = p.borrow_mut();
+        while p.len() < RESERVED_DEPTH {
+            p.push(String::with_capacity(RESERVED_PATH));
+        }
+    });
+}
+
 /// Guard for one span; records duration into the registry on drop.
 #[must_use = "a span records on drop; binding it to _ ends it immediately"]
 pub struct SpanGuard {

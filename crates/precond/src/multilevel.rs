@@ -59,6 +59,11 @@ pub(crate) struct MlLevel {
 /// arithmetic it feeds. The buffers are sized on first use and kept
 /// across applies, so a steady-state apply allocates nothing; a width
 /// change (a different batch size) triggers one resize.
+///
+/// Concurrent walks on one shared preconditioner (serve lanes, the
+/// column groups of one block solve) each check out their own
+/// workspace from a free list, so the list settles at one workspace per
+/// walk that has ever run at the same time as the others.
 #[derive(Default)]
 pub(crate) struct BlockWs {
     k: usize,
@@ -79,23 +84,29 @@ struct LevelWs {
 }
 
 impl BlockWs {
-    /// Moves the cached workspace out of its slot, leaving an empty one.
-    /// The lock is held only for the swap — never across the hierarchy
-    /// walk — so `block_ws` stays a leaf in the lock-order graph.
-    fn take(slot: &Mutex<BlockWs>) -> BlockWs {
-        match slot.lock() {
-            Ok(mut g) => std::mem::take(&mut *g),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
+    /// Checks a workspace out of the free list, preferring one already
+    /// sized for width `k`, or hands back an empty one when every cached
+    /// workspace is in use. The lock is held only for the pop — never
+    /// across the hierarchy walk — so `block_ws` stays a leaf in the
+    /// lock-order graph.
+    fn take(list: &Mutex<Vec<BlockWs>>, k: usize) -> BlockWs {
+        let mut list = match list.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        match list.iter().rposition(|ws| ws.k == k) {
+            Some(i) => list.swap_remove(i),
+            None => list.pop().unwrap_or_default(),
         }
     }
 
-    /// Puts a workspace back for the next apply (last writer wins). A
+    /// Returns a workspace to the free list for the next apply. A
     /// poisoned lock is reusable: every pass rewrites the buffers it
     /// reads before reading them.
-    fn store(slot: &Mutex<BlockWs>, ws: BlockWs) {
-        match slot.lock() {
-            Ok(mut g) => *g = ws,
-            Err(poisoned) => *poisoned.into_inner() = ws,
+    fn store(list: &Mutex<Vec<BlockWs>>, ws: BlockWs) {
+        match list.lock() {
+            Ok(mut g) => g.push(ws),
+            Err(poisoned) => poisoned.into_inner().push(ws),
         }
     }
 
@@ -126,9 +137,9 @@ pub struct MultilevelSteiner {
     pub(crate) smoothing: bool,
     pub(crate) omega: f64,
     pub(crate) n: usize,
-    /// Block-apply workspace; see [`BlockWs`]. Never serialized — the
-    /// artifact codec rebuilds an empty one on decode.
-    pub(crate) block_ws: Mutex<BlockWs>,
+    /// Free list of block-apply workspaces; see [`BlockWs`]. Never
+    /// serialized — the artifact codec rebuilds an empty list on decode.
+    pub(crate) block_ws: Mutex<Vec<BlockWs>>,
 }
 
 impl MultilevelSteiner {
@@ -175,7 +186,7 @@ impl MultilevelSteiner {
             smoothing: opts.smoothing,
             omega: opts.omega,
             n: g.num_vertices(),
-            block_ws: Mutex::new(BlockWs::default()),
+            block_ws: Mutex::new(Vec::new()),
         }
     }
 
@@ -330,15 +341,15 @@ impl MultilevelSteiner {
         assert_eq!(r.n(), self.n, "multilevel apply: r column length");
         assert_eq!(z.n(), self.n, "multilevel apply: z column length");
         assert_eq!(r.k(), z.k(), "multilevel apply: block widths");
-        // Take the workspace out of its slot instead of holding the lock
-        // across the hierarchy walk: the walk calls into the level
+        // Check a workspace out of the free list instead of holding the
+        // lock across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly
         // the shape the lock-order analyzer refuses to certify. The lock
-        // is only ever held for the swap itself (see BlockWs::take/store).
-        // Contention is benign — a second solve racing on one shared
-        // preconditioner takes an empty workspace, allocates its own
-        // buffers, and the last put-back wins.
-        let mut ws = BlockWs::take(&self.block_ws);
+        // is only ever held for the pop and the push (see
+        // BlockWs::take/store). A walk that finds every workspace in use
+        // allocates one, which joins the list on return, so concurrent
+        // walks each reuse their own from then on.
+        let mut ws = BlockWs::take(&self.block_ws, r.k());
         ws.ensure(self, r.k());
         self.cycle_block_into(0, r, z, active, &mut ws.levels, &mut ws.coarse);
         BlockWs::store(&self.block_ws, ws);

@@ -66,6 +66,9 @@ pub enum SolveError {
         /// Provided length.
         got: usize,
     },
+    /// The solve panicked and the caller contained it (a serve lane
+    /// answers every member of a panicked batch with this).
+    Internal,
 }
 
 impl std::fmt::Display for SolveError {
@@ -86,6 +89,7 @@ impl std::fmt::Display for SolveError {
             SolveError::WrongLength { expected, got } => {
                 write!(f, "rhs length {got}, expected {expected}")
             }
+            SolveError::Internal => f.write_str("internal"),
         }
     }
 }

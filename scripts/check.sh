@@ -37,6 +37,10 @@ HICOND_THREADS=4 cargo test --offline --workspace -q
 
 step "schedule-perturbation stress (HICOND_THREADS=4, seeded jitter)"
 HICOND_THREADS=4 cargo test --offline -q --test sched_stress --test obs_stress
+# Serve lanes: the 4-lane protocol stress and the fault-hook test under
+# jitter, then the TCP front end on the one-lane path.
+HICOND_THREADS=4 HICOND_SCHED_JITTER=1 cargo test --offline -q -p hicond --lib serve::batch
+HICOND_THREADS=1 cargo test --offline -q --test serve_concurrent
 
 step "cargo build --examples"
 cargo build --offline --examples

@@ -11,7 +11,10 @@
 //!
 //! - request: `n` whitespace-separated `f64` right-hand-side values,
 //!   where `n` is the vertex count announced at startup
-//! - success reply: `ok <iterations> <rel_residual> <x_0> … <x_{n-1}>`
+//! - success reply: `ok <iterations> <rel_residual> <x_0> … <x_{n-1}>`,
+//!   every `x_i` in Rust's shortest round-trip exponent form (`{:e}`,
+//!   e.g. `-3.333333333333333e-1`), so parsing it back as `f64` recovers
+//!   the server's value bit for bit
 //! - error reply: `ERR <code>: <detail>` — the session **stays alive**
 //!   (except after `timeout`); codes are `bad-value` (unparseable or
 //!   non-finite number), `bad-length` (wrong number of values, or a
@@ -21,9 +24,11 @@
 //!   and is being closed)
 //! - `stats` replies with the session's request counters, solve-latency
 //!   quantiles (`ok stats requests=… errors=… p50_us=… p95_us=… p99_us=…
-//!   cache_hits=… cache_misses=…`) linearly interpolated inside the log₂
-//!   latency buckets, plus the process's artifact-cache hit/miss counts;
-//!   the session keeps going
+//!   cache_hits=… cache_misses=… queue_depth=… inflight=… batch_p50=…
+//!   batch_p95=… lanes=…`) linearly interpolated inside the log₂
+//!   latency buckets, plus the process's artifact-cache hit/miss counts,
+//!   the batch queue's live gauges and its solve-lane count; the session
+//!   keeps going
 //! - `metrics` replies one line of JSON — a *delta* snapshot of the obs
 //!   registry since the previous `metrics` call this session, plus the
 //!   flight-recorder events recorded since then — consumed by
@@ -46,7 +51,7 @@
 //!   per request; the stdin transport) and [`respond_batched`] (routes
 //!   solve requests through a shared [`batch::BatchQueue`] so concurrent
 //!   clients coalesce into one block solve; the TCP transport)
-//! - [`batch`]: the coalescing queue + dispatcher thread (size trigger
+//! - [`batch`]: the coalescing queue + one solve lane per pool thread (size trigger
 //!   `HICOND_SERVE_BATCH`, time window `HICOND_SERVE_BATCH_WINDOW_MS`,
 //!   admission cap `HICOND_SERVE_MAX_INFLIGHT`)
 //! - [`server`]: the byte-level transports — a bounded line reader
@@ -62,6 +67,7 @@ pub use server::{
 };
 
 use hicond_precond::{LaplacianSolver, Solution, SolveError};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -79,16 +85,18 @@ pub struct ServeStats {
     /// Iteration counts of converged solves; feeds the running median
     /// for the preconditioner-staleness watchdog rule.
     iterations: hicond_obs::Histogram,
-    /// Sizes of the block solves the batch dispatcher formed; empty
+    /// Sizes of the block solves the batch lanes formed; empty
     /// until a [`batch::BatchQueue`] is wired to this session.
     batch_size: hicond_obs::Histogram,
     requests: AtomicU64,
     errors: AtomicU64,
-    /// Right-hand sides currently queued, waiting for the dispatcher
+    /// Right-hand sides currently queued, waiting for a lane
     /// (live gauge, maintained by the batch queue).
     queue_depth: AtomicU64,
     /// Right-hand sides currently inside a block solve (live gauge).
     inflight: AtomicU64,
+    /// Solve lanes the batch queue runs (0 on an unbatched session).
+    lanes: AtomicU64,
     /// Session-ordinal of the request (stamped into `req_open` events).
     seq: AtomicU64,
     /// Previous `metrics` scrape: registry snapshot + flight watermark.
@@ -115,7 +123,7 @@ impl ServeStats {
     }
 
     /// Current number of queued right-hand sides (live gauge set by the
-    /// batch dispatcher; 0 on an unbatched session).
+    /// batch lanes; 0 on an unbatched session).
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -126,15 +134,28 @@ impl ServeStats {
     }
 
     /// Records one dispatched batch of `k` right-hand sides (histogram +
-    /// obs mirror); called by the batch dispatcher.
+    /// obs mirror); called by the batch lanes.
     pub(crate) fn record_batch(&self, k: u64) {
         self.batch_size.record_u64(k);
         hicond_obs::hist_record("serve/batch_size", k as f64);
     }
 
+    /// Number of solve lanes serving this session's batch queue.
+    pub fn lanes(&self) -> u64 {
+        self.lanes.load(Ordering::Relaxed)
+    }
+
+    /// Records the lane count; called once by [`BatchQueue::start`].
+    pub(crate) fn set_lanes(&self, lanes: u64) {
+        // ordering: Relaxed store — a monitoring value for the `stats`
+        // verb; it publishes no other memory.
+        self.lanes.store(lanes, Ordering::Relaxed);
+    }
+
     /// Publishes the live queue-depth / inflight gauges (session-local
-    /// atomics plus the obs registry); called by the batch dispatcher.
-    pub(crate) fn set_queue_gauges(&self, queue_depth: u64, inflight: u64) {
+    /// atomics plus the obs registry) and the busy-lane gauge; called by
+    /// the batch lanes.
+    pub(crate) fn set_queue_gauges(&self, queue_depth: u64, inflight: u64, lanes_busy: u64) {
         // ordering: Relaxed stores — these are monitoring gauges read by
         // the `stats` verb; they publish no other memory and a stale
         // read merely lags the dashboard by one scrape.
@@ -143,6 +164,7 @@ impl ServeStats {
         self.inflight.store(inflight, Ordering::Relaxed);
         hicond_obs::gauge_set("serve/queue_depth", queue_depth as f64);
         hicond_obs::gauge_set("serve/inflight", inflight as f64);
+        hicond_obs::gauge_set("serve/lanes_busy", lanes_busy as f64);
     }
 
     /// One-line report for the `stats` verb. Quantiles interpolate
@@ -164,7 +186,7 @@ impl ServeStats {
         let reg = hicond_obs::global();
         // New keys append after `cache_misses=`: scrapers pin the prefix.
         format!(
-            "ok stats requests={} errors={} p50_us={} p95_us={} p99_us={} cache_hits={} cache_misses={} queue_depth={} inflight={} batch_p50={} batch_p95={}",
+            "ok stats requests={} errors={} p50_us={} p95_us={} p99_us={} cache_hits={} cache_misses={} queue_depth={} inflight={} batch_p50={} batch_p95={} lanes={}",
             self.requests(),
             self.errors(),
             q(0.50),
@@ -176,6 +198,7 @@ impl ServeStats {
             self.inflight(),
             bq(0.50),
             bq(0.95),
+            self.lanes(),
         )
     }
 
@@ -234,18 +257,18 @@ pub fn respond(solver: &LaplacianSolver, n: usize, line: &str, stats: &ServeStat
 }
 
 /// Handles one request line against a shared [`BatchQueue`] instead of a
-/// private solver: solve requests park on the queue until the dispatcher
+/// private solver: solve requests park on the queue until a lane
 /// folds them (with every other client's pending rhs) into one block
 /// solve. Meta verbs, parse errors, and replies are identical to
 /// [`respond`]; the only new outcome is `ERR busy` when admission
 /// control sheds the request. Infallible by design, like `respond`: the
 /// connection survives every malformed or shed input.
 pub fn respond_batched(queue: &BatchQueue, n: usize, line: &str, stats: &ServeStats) -> Action {
-    // The trace id survives batching because the dispatcher links it to
+    // The trace id survives batching because the lane links it to
     // the shared block solve's trace with a `batch_join` event.
     respond_with(n, line, stats, |b, trace| match queue.submit(b, trace) {
-        // A dropped sender means the dispatcher is gone (drain finished
-        // without us, or it panicked): answer structurally, never hang.
+        // A dropped sender means the request was dropped unanswered (no
+        // lane left to drain it): answer structurally, never hang.
         Ok(rx) => rx
             .recv()
             .map_err(|_| "service is shutting down".to_string()),
@@ -356,13 +379,21 @@ fn ok_reply(sol: &Solution, stats: &ServeStats) -> String {
     if let Some(median) = stats.iterations.quantile_interpolated(0.5) {
         hicond_obs::watchdog::check_staleness(iters, median, stats.iterations.count());
     }
-    let mut reply = format!("ok {} {:.3e}", sol.iterations, sol.rel_residual);
+    // One allocation: the header plus at most REPLY_VALUE_BYTES per value.
+    // reach: allow(reach-alloc, sol.x is the solver's own solution of length n, the operator-trusted graph dimension; a peer cannot choose its length)
+    let mut reply = String::with_capacity(64 + REPLY_VALUE_BYTES * sol.x.len());
+    // Writing into a String cannot fail.
+    let _ = write!(reply, "ok {} {:.3e}", sol.iterations, sol.rel_residual);
     for x in &sol.x {
-        reply.push(' ');
-        reply.push_str(&format!("{x:.17e}"));
+        let _ = write!(reply, " {x:e}");
     }
     reply
 }
+
+/// Upper bound on one solution value in an `ok` reply: a space, then the
+/// shortest round-trip `{:e}` form, at most `-d.dddddddddddddddde-ddd`
+/// (17 significant digits, 24 bytes).
+const REPLY_VALUE_BYTES: usize = 25;
 
 /// Books one shed/shutdown rejection (error counters + `req_close`
 /// event) and builds the structured `ERR busy` reply.
@@ -579,5 +610,43 @@ mod tests {
         assert_eq!(since, head0, "delta windows tile: {second}");
         // The metrics verb never counts as a solve request.
         assert_eq!(stats.requests(), 0);
+    }
+
+    #[test]
+    fn ok_reply_values_parse_back_bit_exactly() {
+        let stats = ServeStats::new();
+        let x = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),                     // smallest subnormal
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            f64::MAX,
+            1.0 / 3.0,
+            -1e-300,
+            -f64::MIN_POSITIVE,
+        ];
+        let sol = Solution {
+            x: x.clone(),
+            iterations: 12,
+            rel_residual: 3.5e-9,
+        };
+        let reply = ok_reply(&sol, &stats);
+        assert_eq!(
+            reply.capacity(),
+            64 + REPLY_VALUE_BYTES * x.len(),
+            "the one reservation held the whole reply"
+        );
+        let mut toks = reply.split(' ');
+        assert_eq!(toks.next(), Some("ok"));
+        assert_eq!(toks.next(), Some("12"));
+        assert_eq!(toks.next(), Some("3.500e-9"));
+        let back: Vec<u64> = toks
+            .map(|t| t.parse::<f64>().expect("value parses").to_bits())
+            .collect();
+        let want: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back, want, "reply: {reply}");
+        for v in &x {
+            assert!(format!(" {v:e}").len() <= REPLY_VALUE_BYTES, "{v:e}");
+        }
     }
 }

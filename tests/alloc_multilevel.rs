@@ -4,7 +4,12 @@
 //! iterations (`rel_tol: 0.0`), must perform the same number of heap
 //! allocations. Any per-iteration allocation — in the block-PCG engine,
 //! the operator or level SpMVs, the hierarchy walk or the coarse
-//! Cholesky solves — shows up as a nonzero difference.
+//! Cholesky solves — shows up as a nonzero difference. The same holds
+//! when walks run concurrently on one shared solver: two threads solving
+//! at once, and the column groups of a two-column `solve_block`.
+//!
+//! The allocation counter is process-wide, so the tests take a lock and
+//! never count while another one runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,6 +50,13 @@ use hicond_linalg::cg::CgOptions;
 use hicond_linalg::{block_pcg_solve, DenseBlock};
 use hicond_precond::{LaplacianSolver, MultilevelSteiner, SolveError, SolverOptions};
 use rayon::pool::with_thread_cap;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests: each counts every allocation in the process.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -53,8 +65,24 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, after - before)
 }
 
+fn grid_and_rhs(cols: usize) -> (hicond_graph::Graph, Vec<Vec<f64>>) {
+    let g = generators::grid2d(130, 130, |u, v| 1.0 + ((u + 2 * v) % 5) as f64);
+    let n = g.num_vertices();
+    let rhs = (0..cols)
+        .map(|j| {
+            let mut b: Vec<f64> = (0..n)
+                .map(|i| ((i * (j + 3) + 7) % 23) as f64 - 11.0)
+                .collect();
+            hicond_linalg::vector::deflate_constant(&mut b);
+            b
+        })
+        .collect();
+    (g, rhs)
+}
+
 #[test]
 fn multilevel_solve_loop_is_allocation_free() {
+    let _serial = serial();
     // Level 0 is above the blocked-SpMV nnz threshold and the 2^14 BLAS-1
     // chunk crossover, so every kernel takes its dispatching path under
     // the multi-thread cap below; the coarser levels take the small ones.
@@ -118,4 +146,63 @@ fn multilevel_solve_loop_is_allocation_free() {
             assert_eq!(res.iterations, 60);
         }
     });
+}
+
+#[test]
+fn concurrent_walks_on_one_solver_are_allocation_free() {
+    let _serial = serial();
+    let (g, cols) = grid_and_rhs(2);
+    let opts = |iters: usize| SolverOptions {
+        rel_tol: 0.0, // never met: run exactly `iters` iterations
+        max_iter: iters,
+        ..Default::default()
+    };
+    // (two concurrent solves, one k = 2 solve_block at cap 2) allocations
+    // at `iters`: the fewest over three runs after a warmup. Which thread
+    // runs a walk first is up to the scheduler, and a thread's first walk
+    // (or the first walk to find every workspace in use) allocates once;
+    // the minimum is the steady state, which a per-apply allocation would
+    // still raise with the iteration count.
+    let counts = |iters: usize| {
+        // Concurrent solves share the one `cg/residual` series (when
+        // telemetry records); room for both keeps its pushes off the
+        // allocator whatever the interleaving.
+        hicond_obs::trace_start("cg/residual", 4 * (iters + 1));
+        let solver = LaplacianSolver::new(&g, &opts(iters));
+        let two_threads = || {
+            std::thread::scope(|s| {
+                let solves: Vec<_> = cols
+                    .iter()
+                    .map(|b| s.spawn(|| with_thread_cap(2, || solver.solve(b))))
+                    .collect();
+                for h in solves {
+                    let res = h.join().expect("solver thread");
+                    assert!(matches!(res, Err(SolveError::NotConverged { .. })));
+                }
+            })
+        };
+        let block = || {
+            let res = with_thread_cap(2, || solver.solve_block(&cols));
+            assert!(res
+                .iter()
+                .all(|r| matches!(r, Err(SolveError::NotConverged { .. }))));
+        };
+        let fewest = |run: &dyn Fn()| {
+            run();
+            (0..3).map(|_| allocs_during(run).1).min().unwrap_or(0)
+        };
+        (fewest(&two_threads), fewest(&block))
+    };
+    let (threads30, block30) = counts(30);
+    let (threads60, block60) = counts(60);
+    assert_eq!(
+        threads30, threads60,
+        "doubling the iteration count changed the allocation count of two \
+         concurrent solves: a walk allocated per apply ({threads30} vs {threads60})"
+    );
+    assert_eq!(
+        block30, block60,
+        "doubling the iteration count changed the allocation count of a \
+         fanned-out solve_block: a walk allocated per apply ({block30} vs {block60})"
+    );
 }
