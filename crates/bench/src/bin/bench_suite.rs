@@ -39,6 +39,15 @@
 //! throughput strictly exceeds sequential k=1 (the `hicond serve
 //! --listen` batching win). Results land under a top-level `"batch"` key.
 //!
+//! A **hierarchy-walk ledger** (`"walk_levels"`) breaks one V-cycle of
+//! the multilevel preconditioner into its phases per level — sweep 1
+//! (pre-smoothing, `A·v₁` and the restriction), the restriction pass
+//! alone, the prolongation, sweep 2 (`A·v₂` and post-smoothing) and the
+//! coarse solve — as single-threaded medians with each level's rows and
+//! nnz, on a 2D grid and an OCT volume. The walk is first gated bitwise:
+//! a three-column `apply_dot_block` at 1 thread and at the maximum cap
+//! must equal per-column `apply_into` (and its `rᵀz` the chunked dot).
+//!
 //! An **observability cost gate** times the same single-threaded PCG solve
 //! with the flight recorder + metrics fully enabled (`HICOND_OBS=json`)
 //! against the off mode (one relaxed load per instrumentation site),
@@ -51,9 +60,13 @@
 use hicond_bench::{bench_json, consistent_rhs, timed_median_ns, BenchRecord, KernelRecord, Table};
 use hicond_core::{decompose_planar, PlanarOptions};
 use hicond_graph::{generators, laplacian, Graph, RootedForest};
-use hicond_linalg::cg::{pcg_solve, CgOptions, JacobiPreconditioner};
+use hicond_linalg::cg::{pcg_solve, CgOptions, JacobiPreconditioner, Preconditioner};
 use hicond_linalg::csr::CsrMatrix;
-use hicond_precond::{decode_solver, encode_solver, LaplacianSolver, SolverOptions};
+use hicond_linalg::vector::{dot_with_scratch, scratch_len};
+use hicond_linalg::DenseBlock;
+use hicond_precond::{
+    decode_solver, encode_solver, LaplacianSolver, MultilevelSteiner, SolverOptions,
+};
 use hicond_treecontract::subtree_sizes_parallel;
 use rayon::pool::with_thread_cap;
 
@@ -405,6 +418,72 @@ fn main() {
         ));
     }
 
+    // ---- Hierarchy-walk ledger (DESIGN.md §12) ----
+    // Per level of one V-cycle: where the walk's time goes, on the graphs
+    // of the two perfbench workloads (small stand-ins for smoke runs).
+    // Gated bitwise first — the fused block walk with its rᵀz against
+    // the one-column walk — then each phase timed at 1 thread.
+    let grid = |side| generators::grid2d(side, side, |_, _| 1.0);
+    let oct = |side| generators::oct_like_grid3d(side, side, side, 42, Default::default());
+    let walk_graphs = if cfg.smoke {
+        [("grid16", grid(16)), ("oct8", oct(8))]
+    } else {
+        [("grid96", grid(96)), ("oct16", oct(16))]
+    };
+    let mut walk_rows: Vec<(&str, usize, hicond_precond::LevelNs)> = Vec::new();
+    for (name, g) in &walk_graphs {
+        let m = MultilevelSteiner::new(g, &solver_opts.multilevel);
+        let wn = g.num_vertices();
+        let cols: Vec<Vec<f64>> = (0..3).map(|j| consistent_rhs(wn, 3000 + j)).collect();
+        let r = DenseBlock::from_columns(&cols);
+        let mut partials = vec![0.0; scratch_len(wn)];
+        for cap in [1, *THREADS.last().unwrap()] {
+            let mut z = DenseBlock::new(wn, 3);
+            let mut rz = vec![0.0; 3];
+            with_thread_cap(cap, || {
+                m.apply_dot_block(&r, &mut z, &[0, 1, 2], &mut rz, &mut partials)
+            });
+            for (j, col) in cols.iter().enumerate() {
+                let one = with_thread_cap(1, || m.apply(col));
+                assert_eq!(
+                    bits(z.col(j)),
+                    bits(&one),
+                    "walk {name}: block column {j} at cap {cap} diverges bitwise from apply_into"
+                );
+                assert_eq!(
+                    rz[j].to_bits(),
+                    dot_with_scratch(col, &one, &mut partials).to_bits(),
+                    "walk {name}: fused rᵀz of column {j} at cap {cap} diverges bitwise"
+                );
+            }
+        }
+        let ledger = with_thread_cap(1, || {
+            m.walk_ledger(&cols[0], |phase| timed_median_ns(reps_fast * 11, phase))
+        });
+        walk_rows.extend(
+            ledger
+                .into_iter()
+                .enumerate()
+                .map(|(l, row)| (*name, l, row)),
+        );
+    }
+    let walk_json = format!(
+        "[{}]",
+        walk_rows
+            .iter()
+            .map(|(name, level, w)| {
+                format!(
+                    "{{\"graph\": \"{name}\", \"level\": {level}, \"rows\": {}, \"nnz\": {}, \
+                     \"threads\": 1, \"sweep1_ns\": {}, \"restrict_ns\": {}, \
+                     \"prolong_ns\": {}, \"sweep2_ns\": {}, \"coarse_ns\": {}}}",
+                    w.rows, w.nnz, w.sweep1, w.restrict, w.prolong, w.sweep2, w.coarse
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    hicond_obs::json::validate(&walk_json).expect("walk_levels section must be valid JSON");
+
     // ---- Observability cost gate (DESIGN.md §13) ----
     // The same fixed-length single-thread PCG solve with recording fully
     // off vs fully on (flight ring + registry + watchdog + milestone
@@ -634,6 +713,7 @@ fn main() {
             ("metrics", metrics.as_str()),
             ("obs_overhead", obs_overhead_json.as_str()),
             ("batch", batch_json.as_str()),
+            ("walk_levels", walk_json.as_str()),
         ],
     );
     hicond_obs::json::validate(&json).expect("bench trajectory must be valid JSON");
@@ -691,5 +771,30 @@ fn main() {
         ]);
     }
     btable.print();
+    let mut wtable = Table::new(&[
+        "graph",
+        "level",
+        "rows",
+        "nnz",
+        "sweep1_ns",
+        "restrict_ns",
+        "prolong_ns",
+        "sweep2_ns",
+        "coarse_ns",
+    ]);
+    for (name, level, w) in &walk_rows {
+        wtable.row(vec![
+            name.to_string(),
+            level.to_string(),
+            w.rows.to_string(),
+            w.nnz.to_string(),
+            w.sweep1.to_string(),
+            w.restrict.to_string(),
+            w.prolong.to_string(),
+            w.sweep2.to_string(),
+            w.coarse.to_string(),
+        ]);
+    }
+    wtable.print();
     println!("wrote {} (with embedded obs metrics snapshot)", cfg.out);
 }

@@ -35,6 +35,20 @@ use rayon::prelude::*;
 /// bounded-degree Laplacians this workspace solves.
 pub const BAND_ROWS: usize = 1024;
 
+/// One row of `A x` from the row's column indices and values: `acc +=
+/// v * x[c]` in storage order from `0.0`, the reference accumulation
+/// ([`crate::csr::CsrMatrix::mul_into`]) every production SpMV shares.
+#[inline(always)]
+pub(crate) fn row_sum(ci: &[u32], vs: &[f64], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&c, &v) in ci.iter().zip(vs) {
+        // CsrMatrix validates col indices at construction, so `c` is in
+        // bounds: c < ncols == x.len().
+        acc += v * x[c as usize];
+    }
+    acc
+}
+
 /// Precomputed row-band index over a CSR structure.
 ///
 /// For band `b` covering rows `[b·BAND_ROWS, min((b+1)·BAND_ROWS, nrows))`:
@@ -110,13 +124,48 @@ impl BlockIndex {
         // reference loop on small operators (DESIGN.md §12).
         for (yr, w) in y_band.iter_mut().zip(lp.windows(2)) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
-            let mut acc = 0.0;
-            for (&c, &v) in ci[lo..hi].iter().zip(&vs[lo..hi]) {
-                // CsrMatrix validates col indices at construction,
-                // so `c` is in bounds: c < ncols == x.len().
-                acc += v * x[c as usize];
+            *yr = row_sum(&ci[lo..hi], &vs[lo..hi], x);
+        }
+    }
+
+    /// Row sums `(A x)_i` for the rows in `rows`, handed to `f` one per
+    /// row in increasing row order, each accumulated by the band kernel's
+    /// row loop — so each equals [`Self::mul_into`]'s `y[i]` bit for bit.
+    /// The consumer, not an output vector, receives the sums: fused sweeps
+    /// use this to finish a row's vector work while the row is hot.
+    /// Sequential; callers that fan out split `rows` themselves.
+    ///
+    /// # Panics
+    /// Panics if `rows` is reversed or ends past the indexed row count.
+    #[inline]
+    pub fn sweep_rows<F: FnMut(f64)>(
+        &self,
+        col_idx: &[u32],
+        values: &[f64],
+        x: &[f64],
+        rows: std::ops::Range<usize>,
+        mut f: F,
+    ) {
+        assert!(
+            rows.start <= rows.end && rows.end <= self.nrows,
+            "blocked sweep: rows {rows:?} out of {}",
+            self.nrows
+        );
+        let mut r0 = rows.start;
+        while r0 < rows.end {
+            let b = r0 / BAND_ROWS;
+            let r1 = ((b + 1) * BAND_ROWS).min(rows.end);
+            let ps = self.ptr_start(b) + (r0 - b * BAND_ROWS);
+            let lp = &self.local_ptr[ps..=ps + (r1 - r0)];
+            let base = self.nnz_start[b];
+            let band_nnz = lp[r1 - r0] as usize;
+            let ci = &col_idx[base..base + band_nnz];
+            let vs = &values[base..base + band_nnz];
+            for w in lp.windows(2) {
+                let (lo, hi) = (w[0] as usize, w[1] as usize);
+                f(row_sum(&ci[lo..hi], &vs[lo..hi], x));
             }
-            *yr = acc;
+            r0 = r1;
         }
     }
 

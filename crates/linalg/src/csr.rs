@@ -5,15 +5,10 @@
 //! duplicate triplets and sums them — exactly what the algebraic quotient
 //! construction `Q = RᵀAR` of the paper's Definition 3.1 produces.
 
-use crate::blocked::BlockIndex;
+use crate::blocked::{row_sum, BlockIndex};
 use crate::invariant::InvariantViolation;
 use rayon::prelude::*;
 use std::sync::OnceLock;
-
-/// Row count from which an SpMV hands whole bands to the pool; smaller
-/// operators (most levels of a Steiner hierarchy) run their bands on the
-/// calling thread.
-const PAR_SPMV_ROWS: usize = 4096;
 
 /// A sparse matrix in CSR format over `f64`.
 ///
@@ -400,9 +395,9 @@ impl CsrMatrix {
         }
     }
 
-    /// `y = A x` through the band-blocked kernel, band-parallel from
-    /// 4096 rows. Bitwise identical to [`CsrMatrix::mul_into`] at any
-    /// thread count.
+    /// `y = A x` through the band-blocked kernel, band-parallel when the
+    /// rows span more than one BLAS-1 chunk (see [`CsrMatrix::spmv_path`]).
+    /// Bitwise identical to [`CsrMatrix::mul_into`] at any thread count.
     ///
     /// # Panics
     ///
@@ -422,12 +417,47 @@ impl CsrMatrix {
     /// and the caller runs the reference kernel instead. The index
     /// depends only on structure, so it stays valid across
     /// [`CsrMatrix::values_mut`] edits.
+    ///
+    /// The bands go to the pool iff the rows span more than one chunk of
+    /// `rayon::pool::chunk_len` — the rule every BLAS-1 kernel follows
+    /// (`MIN_PAR_CHUNK = 4096` elements run on the calling thread), so
+    /// one solve's SpMVs and vector kernels fan out at the same sizes.
     pub(crate) fn spmv_path(&self) -> Option<(&BlockIndex, bool)> {
         let bands = self
             .bands
             .get_or_init(|| BlockIndex::build(self.nrows, &self.row_ptr))
             .as_ref()?;
-        Some((bands, self.nrows >= PAR_SPMV_ROWS))
+        Some((bands, rayon::pool::num_chunks(self.nrows) > 1))
+    }
+
+    /// Row sums `(A x)_i` for the rows in `rows`, handed to `f` one per
+    /// row in increasing row order: the kernel behind fused row sweeps
+    /// that consume each `(A x)_i` as soon as it is ready instead of
+    /// storing `y` (the multilevel preconditioner's smoothing sweeps).
+    /// Each sum is bitwise equal to [`CsrMatrix::spmv_into`]'s `y[i]`.
+    /// Sequential and allocation-free; a caller that fans out splits
+    /// `rows` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != ncols`, or `rows` is reversed or ends past
+    /// `nrows`.
+    #[inline]
+    pub fn sweep_rows(&self, x: &[f64], rows: std::ops::Range<usize>, mut f: impl FnMut(f64)) {
+        assert_eq!(x.len(), self.ncols, "sweep_rows: x length");
+        match self.spmv_path() {
+            Some((bands, _)) => bands.sweep_rows(&self.col_idx, &self.values, x, rows, f),
+            None => {
+                assert!(rows.start <= rows.end, "sweep_rows: reversed rows");
+                for w in self.row_ptr[rows.start..=rows.end].windows(2) {
+                    f(row_sum(
+                        &self.col_idx[w[0]..w[1]],
+                        &self.values[w[0]..w[1]],
+                        x,
+                    ));
+                }
+            }
+        }
     }
 
     /// Allocating `A x`.
@@ -788,8 +818,9 @@ mod tests {
 
     #[test]
     fn blocked_dispatch_is_bitwise_transparent() {
-        // Sequential and band-parallel sides of the dispatch cutoff.
-        for n in [PAR_SPMV_ROWS - 1, 9_000] {
+        // Sequential and band-parallel sides of the one-chunk rule: 4096
+        // rows are one BLAS-1 chunk, 4097 are two.
+        for n in [4096, 4097, 9_000] {
             let mut b = CooBuilder::new(n, n);
             for i in 0..n {
                 b.push(i, i, 3.0);
@@ -808,7 +839,18 @@ mod tests {
             a.spmv_into(&x, &mut y);
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&y_ref), bits(&y), "n={n}");
-            assert_eq!(a.spmv_path().map(|(_, par)| par), Some(n >= PAR_SPMV_ROWS));
+            assert_eq!(a.spmv_path().map(|(_, par)| par), Some(n > 4096));
+            // The row sweep hands out the same sums over any row range,
+            // band-aligned or not.
+            for rows in [0..n, 0..0, 1000..1030, 1023..2049, n - 7..n] {
+                let mut got = Vec::new();
+                a.sweep_rows(&x, rows.clone(), |s| got.push(s));
+                assert_eq!(
+                    bits(&got),
+                    bits(&y_ref[rows.clone()]),
+                    "n={n} rows {rows:?}"
+                );
+            }
         }
     }
 

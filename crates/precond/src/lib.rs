@@ -36,6 +36,8 @@ pub mod treesolve;
 
 pub use artifact::{decode_solver, encode_solver, load_or_build, solver_cache_key, SolverSource};
 pub use gremban::{apply_via_extended_system, ExtendedSteinerSolver};
+#[doc(hidden)]
+pub use multilevel::LevelNs;
 pub use multilevel::{MultilevelOptions, MultilevelSteiner};
 pub use solver::{LaplacianSolver, Solution, SolveError, SolverOptions};
 pub use steiner::{steiner_laplacian, SteinerPreconditioner};

@@ -13,12 +13,46 @@
 //!   by construction, and in practice much stronger on deep hierarchies.
 //!
 //! The coarsest level is solved exactly (grounded dense Cholesky).
+//!
+//! # The walk: two fused row sweeps per level
+//!
+//! One V-cycle level reads the level Laplacian twice, and each read is a
+//! row sweep that finishes the level's vector work while the row is hot
+//! ([`CsrMatrix::sweep_rows`] hands over each `(Av)_i` as it is summed):
+//!
+//! 1. after the one-pass `v₁ = ωD⁻¹r`, sweep 1 computes `A v₁` and
+//!    writes each row's `r − (Av₁)` into a level-sized buffer — `A v₁`
+//!    itself is never stored — and one in-order pass restricts the buffer
+//!    into the coarse right-hand side;
+//! 2. after the coarse correction and the one-pass prolongation
+//!    `v₂ = v₁ + R c`, sweep 2 computes `A v₂` and writes
+//!    `z = v₂ + ωD⁻¹(r − Av₂)` row by row; on level 0 it also adds `r·z`
+//!    into the PCG inner product `rᵀz`.
+//!
+//! The sweeps walk the active columns one at a time, each column's rows
+//! in `chunk_len(n)` chunks that go to the pool iff the level spans more
+//! than one BLAS-1 chunk (`num_chunks(n) > 1`, the rule of every kernel
+//! in `hicond_linalg::vector` and of [`CsrMatrix::spmv_into`]); a
+//! one-chunk level runs on the calling thread. The restriction stays one
+//! sequential pass because the order of its scatter is part of its bits.
+//!
+//! **Why the bits hold.** Per column, every value is the same
+//! floating-point expression, evaluated in the same order, as in the
+//! test-only recursive reference `cycle`: a row sum is the SpMV's row
+//! loop; the restriction adds the same rounded summands in increasing
+//! vertex order; and `rᵀz` adds `r_i·z_i` from `Sum`'s neutral in row
+//! order within each `chunk_len(n)` chunk, then combines the chunk
+//! partials along `tree_sum` — exactly `dot_with_scratch`. Which thread
+//! runs a chunk changes no expression, so the output is the same at any
+//! thread cap and jitter seed.
 
 use crate::steiner::GroundedLaplacianSolver;
 use hicond_core::{build_hierarchy, Hierarchy, HierarchyOptions};
 use hicond_graph::{laplacian, Graph};
 use hicond_linalg::vector::dot_with_scratch;
-use hicond_linalg::{CsrMatrix, DenseBlock, LinearOperator, Preconditioner};
+use hicond_linalg::{CsrMatrix, DenseBlock, Preconditioner};
+use rayon::pool::{chunk_len, num_chunks};
+use rayon::prelude::*;
 use std::sync::Mutex;
 
 /// Options for [`MultilevelSteiner`].
@@ -57,8 +91,9 @@ pub(crate) struct MlLevel {
 /// past the allocator's mmap threshold — so a fresh
 /// allocate/fault/free cycle on every apply costs more than the
 /// arithmetic it feeds. The buffers are sized on first use and kept
-/// across applies, so a steady-state apply allocates nothing; a width
-/// change (a different batch size) triggers one resize.
+/// across applies, so a steady-state apply allocates nothing. They only
+/// grow: a walk narrower than the widest one seen uses the leading
+/// columns, so alternating batch widths never reallocate.
 ///
 /// Concurrent walks on one shared preconditioner (serve lanes, the
 /// column groups of one block solve) each check out their own
@@ -75,8 +110,10 @@ pub(crate) struct BlockWs {
 struct LevelWs {
     /// Smoother iterate `v₁` (level size × k).
     v1: DenseBlock,
-    /// Level SpMV output `A v₁` (level size × k).
-    av: DenseBlock,
+    /// `r − A v₁` of one column (level size), written by sweep 1 before
+    /// the in-order restriction; sweep 2 keeps its chunk partials of `rᵀz`
+    /// here when the walk's caller wants no `rᵀz`.
+    res: Vec<f64>,
     /// Restricted residual handed down (num_clusters × k).
     rc: DenseBlock,
     /// Coarse correction coming back up (num_clusters × k).
@@ -85,16 +122,16 @@ struct LevelWs {
 
 impl BlockWs {
     /// Checks a workspace out of the free list, preferring one already
-    /// sized for width `k`, or hands back an empty one when every cached
-    /// workspace is in use. The lock is held only for the pop — never
-    /// across the hierarchy walk — so `block_ws` stays a leaf in the
-    /// lock-order graph.
+    /// wide enough for `k` columns, or hands back an empty one when every
+    /// cached workspace is in use. The lock is held only for the pop —
+    /// never across the hierarchy walk — so `block_ws` stays a leaf in
+    /// the lock-order graph.
     fn take(list: &Mutex<Vec<BlockWs>>, k: usize) -> BlockWs {
         let mut list = match list.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        match list.iter().rposition(|ws| ws.k == k) {
+        match list.iter().rposition(|ws| ws.k >= k) {
             Some(i) => list.swap_remove(i),
             None => list.pop().unwrap_or_default(),
         }
@@ -110,24 +147,119 @@ impl BlockWs {
         }
     }
 
-    /// Sizes the level buffers for width `k` (no-op when they already
-    /// fit) and the coarse scratch.
+    /// Grows the level buffers to width `k` (no-op when they are already
+    /// at least that wide) and sizes the coarse scratch.
     fn ensure(&mut self, m: &MultilevelSteiner, k: usize) {
-        if self.k != k || self.levels.len() != m.levels.len() {
+        if self.k < k || self.levels.len() != m.levels.len() {
             self.k = k;
             self.levels = m
                 .levels
                 .iter()
-                .map(|l| LevelWs {
-                    v1: DenseBlock::new(l.lap.nrows(), k),
-                    av: DenseBlock::new(l.lap.nrows(), k),
-                    rc: DenseBlock::new(l.num_clusters, k),
-                    co: DenseBlock::new(l.num_clusters, k),
+                .map(|l| {
+                    let n = l.lap.nrows();
+                    LevelWs {
+                        v1: DenseBlock::new(n, k),
+                        res: vec![0.0; n],
+                        rc: DenseBlock::new(l.num_clusters, k),
+                        co: DenseBlock::new(l.num_clusters, k),
+                    }
                 })
                 .collect();
         }
         self.coarse.resize(m.coarse.scratch_len(), 0.0);
     }
+}
+
+/// The columns a walk reads: a block's, or one bare slice (the
+/// one-column [`Preconditioner::apply_into`], which then needs no block
+/// copy of `r` or `z`).
+trait Columns {
+    fn col(&self, j: usize) -> &[f64];
+}
+
+/// The columns a walk writes.
+trait ColumnsMut: Columns {
+    fn col_mut(&mut self, j: usize) -> &mut [f64];
+}
+
+impl Columns for DenseBlock {
+    fn col(&self, j: usize) -> &[f64] {
+        DenseBlock::col(self, j)
+    }
+}
+
+impl ColumnsMut for DenseBlock {
+    fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        DenseBlock::col_mut(self, j)
+    }
+}
+
+/// A lone slice is column 0.
+impl Columns for [f64] {
+    fn col(&self, j: usize) -> &[f64] {
+        debug_assert_eq!(j, 0, "a slice holds one column");
+        self
+    }
+}
+
+impl ColumnsMut for [f64] {
+    fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        debug_assert_eq!(j, 0, "a slice holds one column");
+        self
+    }
+}
+
+/// Where level 0 of a walk leaves each active column's `rᵀz`: `rz[j]`,
+/// with `partials` (≥ `scratch_len(n)`) as the chunk-partial slots.
+struct Dot<'a> {
+    rz: &'a mut [f64],
+    partials: &'a mut [f64],
+}
+
+/// `res[i] = r[i] − (A v)[i]` for the rows `r0..r0 + res.len()`: the
+/// residual summands that sweep 1 hands to the restriction.
+fn residual(a: &CsrMatrix, r: &[f64], v: &[f64], r0: usize, res: &mut [f64]) {
+    let rows = r0..r0 + res.len();
+    let mut row = res.iter_mut().zip(&r[rows.clone()]);
+    a.sweep_rows(v, rows, |s| {
+        if let Some((x, &rv)) = row.next() {
+            *x = rv - s;
+        }
+    });
+}
+
+/// `rc[assignment[i]] += res[i]` in increasing `i`: the restriction
+/// `Rᵀ res` (onto a zeroed `rc`), in the order that fixes its bits.
+fn scatter_add(assignment: &[u32], res: &[f64], rc: &mut [f64]) {
+    for (&c, &x) in assignment.iter().zip(res) {
+        // Hierarchy construction keeps every assignment entry in
+        // bounds: c < num_clusters == rc.len().
+        rc[c as usize] += x;
+    }
+}
+
+/// One level of [`MultilevelSteiner::walk_ledger`]: the time of each
+/// V-cycle phase on that level, in nanoseconds.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct LevelNs {
+    /// Level size.
+    pub rows: usize,
+    /// Stored entries of the level Laplacian (0 on the coarsest level,
+    /// which is a dense Cholesky solve).
+    pub nnz: usize,
+    /// Sweep 1: `v₁ = ωD⁻¹r`, then `A v₁` with the restriction of
+    /// `r − A v₁`.
+    pub sweep1: u64,
+    /// The in-order restriction alone, over sweep 1's stored residual
+    /// (also counted in `sweep1`).
+    pub restrict: u64,
+    /// Prolongation `v₁ += R c`.
+    pub prolong: u64,
+    /// Sweep 2: `A v₂` with the post-smoothed output.
+    pub sweep2: u64,
+    /// Coarse Cholesky solve (coarsest level only).
+    pub coarse: u64,
 }
 
 /// Multilevel Steiner preconditioner.
@@ -237,29 +369,34 @@ impl MultilevelSteiner {
 
     /// Multi-column cycle: one walk of the hierarchy serves every active
     /// column of `rb`, writing results into the matching columns of `out`.
-    /// Per level, the restriction table, the level Laplacian (via its
-    /// band-major block SpMV), the inverse-degree vector, and the coarse
-    /// Cholesky factors are each traversed **once per block** instead of
-    /// once per column — the shared-traversal amortization the block-PCG
-    /// engine exists for. All intermediates live in the caller's
-    /// [`BlockWs`] (one [`LevelWs`] per level, `ws[0]` for this level),
-    /// so a steady-state apply performs no allocation at all.
+    /// Each level runs its passes for every active column before the walk
+    /// descends, so the level's Laplacian, restriction table and inverse
+    /// degrees are read from cache for all but the first column. All
+    /// intermediates live in the caller's [`BlockWs`] (one [`LevelWs`]
+    /// per level, `ws[0]` for this level), so a steady-state apply
+    /// performs no allocation at all.
+    ///
+    /// A V-cycle level is two fused row sweeps around the coarse
+    /// correction (see [`Self::sweep1`] and [`Self::sweep2`]); with
+    /// `dot`, level 0 also leaves each column's `rᵀz` in `dot.rz`.
     ///
     /// Every per-column arithmetic expression, and its evaluation order,
-    /// is copied verbatim from the test-only recursive reference `cycle`
-    /// (the level SpMV goes through `apply_block`, whose per-column output
-    /// is contractually bitwise equal to `spmv_into`; the restriction
-    /// accumulates the summand `r[v] − (Av₁)[v]` in the same vertex order
-    /// the reference materializes it), so each column of the result is
-    /// bitwise identical to a single-vector cycle on that column.
-    fn cycle_block_into(
+    /// is copied verbatim from the test-only recursive reference `cycle`:
+    /// each row sum is the SpMV's, the restriction accumulates the summand
+    /// `r[v] − (Av₁)[v]` in the same vertex order the reference
+    /// materializes it, and `rᵀz` keeps `dot_with_scratch`'s chunks and
+    /// tree. So each column of the result is bitwise identical to a
+    /// single-vector cycle on that column.
+    #[allow(clippy::too_many_arguments)]
+    fn cycle_block_into<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
         &self,
         level: usize,
-        rb: &DenseBlock,
-        out: &mut DenseBlock,
+        rb: &R,
+        out: &mut O,
         active: &[usize],
         ws: &mut [LevelWs],
         coarse_scratch: &mut [f64],
+        dot: Option<Dot<'_>>,
     ) {
         if level == self.levels.len() {
             for &j in active {
@@ -267,6 +404,7 @@ impl MultilevelSteiner {
                 self.coarse
                     .solve_into(rb.col(j), out.col_mut(j), coarse_scratch);
             }
+            dot_after(rb, out, active, dot);
             return;
         }
         let l = &self.levels[level];
@@ -278,69 +416,132 @@ impl MultilevelSteiner {
             // Additive: D⁻¹ r + R M₊ Rᵀ r over one shared coarse block.
             for &j in active {
                 lw.rc.col_mut(j).fill(0.0);
-                let (rj, cj) = (rb.col(j), lw.rc.col_mut(j));
-                for (v, &c) in l.assignment.iter().enumerate() {
-                    // Hierarchy construction keeps every assignment entry
-                    // in bounds: c < num_clusters == cj.len().
-                    cj[c as usize] += rj[v];
-                }
+                scatter_add(&l.assignment, rb.col(j), lw.rc.col_mut(j));
             }
-            self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest, coarse_scratch);
+            self.cycle_block_into(
+                level + 1,
+                &lw.rc,
+                &mut lw.co,
+                active,
+                rest,
+                coarse_scratch,
+                None,
+            );
             for &j in active {
                 let (rj, cj, oj) = (rb.col(j), lw.co.col(j), out.col_mut(j));
-                for (v, zv) in oj.iter_mut().enumerate() {
+                for (((zv, &rv), &d), &c) in oj.iter_mut().zip(rj).zip(&l.inv_d).zip(&l.assignment)
+                {
                     // bounds: assignment < num_clusters == cj.len().
-                    *zv = l.inv_d[v] * rj[v] + cj[l.assignment[v] as usize];
+                    *zv = d * rv + cj[c as usize];
                 }
             }
+            dot_after(rb, out, active, dot);
             return;
         }
         // V-cycle with damped Jacobi smoothing, block-wide.
+        self.sweep1(l, rb, active, lw);
+        self.cycle_block_into(
+            level + 1,
+            &lw.rc,
+            &mut lw.co,
+            active,
+            rest,
+            coarse_scratch,
+            None,
+        );
+        prolong(l, active, lw);
+        self.sweep2(l, rb, out, active, lw, dot);
+    }
+
+    /// Sweep 1 of a V-cycle level, column by column: `v₁ = ωD⁻¹r` (one
+    /// zip pass), then the rows of `A v₁` chunk by chunk, each row writing
+    /// `r − (Av₁)` into `lw.res`, then the restriction of `lw.res` into
+    /// `lw.rc`. The restriction adds the summands in increasing row order
+    /// — the order is part of the bits, so it never runs in parallel.
+    fn sweep1<R: Columns + ?Sized>(&self, l: &MlLevel, rb: &R, active: &[usize], lw: &mut LevelWs) {
+        let cl = chunk_len(l.lap.nrows());
         for &j in active {
-            let (rj, vj) = (rb.col(j), lw.v1.col_mut(j));
-            for (v, val) in vj.iter_mut().enumerate() {
-                *val = self.omega * l.inv_d[v] * rj[v];
+            let rj = rb.col(j);
+            for ((v, &d), &r) in lw.v1.col_mut(j).iter_mut().zip(&l.inv_d).zip(rj) {
+                *v = self.omega * d * r;
             }
+            let v1 = lw.v1.col(j);
+            lw.res
+                .par_chunks_mut(cl)
+                .enumerate()
+                .for_each(|(c, res)| residual(&l.lap, rj, v1, c * cl, res));
+            let rc = lw.rc.col_mut(j);
+            rc.fill(0.0);
+            scatter_add(&l.assignment, &lw.res, rc);
         }
-        l.lap.apply_block(&lw.v1, &mut lw.av, active);
-        // Restrict the smoothed residual r − Av₁ without materializing
-        // it: the accumulated summand is rounded once either way, so the
-        // coarse right-hand side bits match the solo path's.
+    }
+
+    /// Sweep 2 of a V-cycle level, column by column: the rows of `A v₂`
+    /// (`v₂` is `lw.v1` after prolongation) chunk by chunk, each row
+    /// writing `z = v₂ + ωD⁻¹(r − A v₂)` as soon as its sum is done and
+    /// adding `r·z` to its chunk's partial from `Sum`'s neutral. With
+    /// `dot`, the partials combine along `tree_sum` into `dot.rz` —
+    /// exactly `dot_with_scratch`'s geometry, so `rᵀz` keeps its bits
+    /// without a separate pass; without, they land in the idle `lw.res`.
+    fn sweep2<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
+        &self,
+        l: &MlLevel,
+        rb: &R,
+        out: &mut O,
+        active: &[usize],
+        lw: &mut LevelWs,
+        dot: Option<Dot<'_>>,
+    ) {
+        let n = l.lap.nrows();
+        let (cl, nc) = (chunk_len(n), num_chunks(n));
+        let omega = self.omega;
+        // The value `Sum` folds from, so partials match `dot`'s bit for bit.
+        let neutral: f64 = std::iter::empty::<f64>().sum();
+        let (mut rz, partials) = match dot {
+            Some(d) => (Some(d.rz), &mut d.partials[..nc]),
+            None => (None, &mut lw.res[..nc]),
+        };
         for &j in active {
-            lw.rc.col_mut(j).fill(0.0);
-            let (rj, aj, cj) = (rb.col(j), lw.av.col(j), lw.rc.col_mut(j));
-            for (v, &c) in l.assignment.iter().enumerate() {
-                // bounds: assignment < num_clusters == cj.len().
-                cj[c as usize] += rj[v] - aj[v];
-            }
-        }
-        self.cycle_block_into(level + 1, &lw.rc, &mut lw.co, active, rest, coarse_scratch);
-        for &j in active {
-            let (cj, vj) = (lw.co.col(j), lw.v1.col_mut(j));
-            for (v, val) in vj.iter_mut().enumerate() {
-                // bounds: assignment < num_clusters == cj.len().
-                *val += cj[l.assignment[v] as usize];
-            }
-        }
-        l.lap.apply_block(&lw.v1, &mut lw.av, active);
-        for &j in active {
-            let (rj, aj, vj, oj) = (rb.col(j), lw.av.col(j), lw.v1.col(j), out.col_mut(j));
-            for (v, zv) in oj.iter_mut().enumerate() {
-                *zv = vj[v] + self.omega * l.inv_d[v] * (rj[v] - aj[v]);
+            let (rj, v2) = (rb.col(j), lw.v1.col(j));
+            partials
+                .par_iter_mut()
+                .zip(out.col_mut(j).par_chunks_mut(cl))
+                .enumerate()
+                .for_each(|(c, (p, zc))| {
+                    let rows = c * cl..c * cl + zc.len();
+                    let mut acc = neutral;
+                    let mut row = zc
+                        .iter_mut()
+                        .zip(&rj[rows.clone()])
+                        .zip(&l.inv_d[rows.clone()])
+                        .zip(&v2[rows.clone()]);
+                    l.lap.sweep_rows(v2, rows, |s| {
+                        if let Some((((z, &r), &d), &v)) = row.next() {
+                            *z = v + omega * d * (r - s);
+                            acc += r * *z;
+                        }
+                    });
+                    *p = acc;
+                });
+            if let Some(rz) = rz.as_deref_mut() {
+                rz[j] = rayon::tree_sum(partials);
             }
         }
     }
-}
 
-impl MultilevelSteiner {
-    /// One shared hierarchy walk for the active columns of `r` into `z`,
-    /// on the cached workspace.
-    fn apply_block_into(&self, r: &DenseBlock, z: &mut DenseBlock, active: &[usize]) {
+    /// One shared hierarchy walk for the active columns of `r` (`k`
+    /// columns wide) into `z`, on a cached workspace; with `dot`, also
+    /// each active column's `rᵀz`.
+    fn walk<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
+        &self,
+        r: &R,
+        z: &mut O,
+        k: usize,
+        active: &[usize],
+        dot: Option<Dot<'_>>,
+    ) {
         let _span = hicond_obs::span("precond_apply");
         hicond_obs::counter_add("precond/ml_applies", active.len() as u64);
-        assert_eq!(r.n(), self.n, "multilevel apply: r column length");
-        assert_eq!(z.n(), self.n, "multilevel apply: z column length");
-        assert_eq!(r.k(), z.k(), "multilevel apply: block widths");
         // Check a workspace out of the free list instead of holding the
         // lock across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly
@@ -349,10 +550,99 @@ impl MultilevelSteiner {
         // BlockWs::take/store). A walk that finds every workspace in use
         // allocates one, which joins the list on return, so concurrent
         // walks each reuse their own from then on.
-        let mut ws = BlockWs::take(&self.block_ws, r.k());
-        ws.ensure(self, r.k());
-        self.cycle_block_into(0, r, z, active, &mut ws.levels, &mut ws.coarse);
+        let mut ws = BlockWs::take(&self.block_ws, k);
+        ws.ensure(self, k);
+        self.cycle_block_into(0, r, z, active, &mut ws.levels, &mut ws.coarse, dot);
         BlockWs::store(&self.block_ws, ws);
+    }
+
+    /// Times each V-cycle phase on every level of this hierarchy, on the
+    /// residuals one walk of `r` produces: `time` runs the phase it is
+    /// handed (as often as it likes) and returns its time in nanoseconds.
+    /// One row per smoothing level, then one for the coarse solve. A
+    /// diagnostic behind the per-level ledger of `bench_suite`; it
+    /// allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r.len()` differs from the preconditioner dimension.
+    #[doc(hidden)]
+    pub fn walk_ledger(
+        &self,
+        r: &[f64],
+        mut time: impl FnMut(&mut dyn FnMut()) -> u64,
+    ) -> Vec<LevelNs> {
+        assert_eq!(r.len(), self.n, "walk_ledger: r length");
+        let mut ws = BlockWs::default();
+        ws.ensure(self, 1);
+        // One full walk leaves every level's restricted residual and
+        // coarse correction in the workspace.
+        let mut z = vec![0.0; self.n];
+        self.cycle_block_into(0, r, &mut z[..], &[0], &mut ws.levels, &mut ws.coarse, None);
+        let mut rows = Vec::with_capacity(self.levels.len() + 1);
+        for (level, l) in self.levels.iter().enumerate() {
+            let (above, here) = ws.levels.split_at_mut(level);
+            let rl = above.last().map_or(r, |a| a.rc.col(0));
+            let Some(lw) = here.first_mut() else { break };
+            let n = l.lap.nrows();
+            let sweep1 = time(&mut || self.sweep1(l, rl, &[0], lw));
+            // Sweep 1 leaves its residual in `lw.res`.
+            let restrict = time(&mut || {
+                let rc = lw.rc.col_mut(0);
+                rc.fill(0.0);
+                scatter_add(&l.assignment, &lw.res, rc);
+            });
+            // Repeated prolongations keep adding the same correction:
+            // the values drift, the work does not.
+            let prolong = time(&mut || prolong(l, &[0], lw));
+            let mut out = vec![0.0; n];
+            let sweep2 = time(&mut || self.sweep2(l, rl, &mut out[..], &[0], lw, None));
+            rows.push(LevelNs {
+                rows: n,
+                nnz: l.lap.nnz(),
+                sweep1,
+                restrict,
+                prolong,
+                sweep2,
+                coarse: 0,
+            });
+        }
+        let rc = ws.levels.last().map_or(r, |lw| lw.rc.col(0));
+        let mut co = vec![0.0; self.coarse.dim()];
+        let coarse = time(&mut || self.coarse.solve_into(rc, &mut co, &mut ws.coarse));
+        rows.push(LevelNs {
+            rows: self.coarse.dim(),
+            coarse,
+            ..LevelNs::default()
+        });
+        rows
+    }
+}
+
+/// Prolongation `v₁ += R c`: one zip pass per active column.
+fn prolong(l: &MlLevel, active: &[usize], lw: &mut LevelWs) {
+    for &j in active {
+        let (cj, vj) = (lw.co.col(j), lw.v1.col_mut(j));
+        for (v, &c) in vj.iter_mut().zip(&l.assignment) {
+            // bounds: assignment < num_clusters == cj.len().
+            *v += cj[c as usize];
+        }
+    }
+}
+
+/// `rᵀz` for walks whose last pass does not fuse it (the additive cycle,
+/// a hierarchy that is only the coarse solve): the separate
+/// `dot_with_scratch` pass.
+fn dot_after<R: Columns + ?Sized, O: Columns + ?Sized>(
+    rb: &R,
+    out: &O,
+    active: &[usize],
+    dot: Option<Dot<'_>>,
+) {
+    if let Some(d) = dot {
+        for &j in active {
+            d.rz[j] = dot_with_scratch(rb.col(j), out.col(j), d.partials);
+        }
     }
 }
 
@@ -361,15 +651,17 @@ impl Preconditioner for MultilevelSteiner {
         self.n
     }
 
-    /// One column through the same walk as [`Self::apply_dot_block`].
+    /// One column through the same walk as [`Self::apply_dot_block`],
+    /// run on `r` and `z` directly.
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        let mut rb = DenseBlock::new(self.n, 1);
-        rb.col_mut(0).copy_from_slice(r);
-        let mut zb = DenseBlock::new(self.n, 1);
-        self.apply_block_into(&rb, &mut zb, &[0]);
-        z.copy_from_slice(zb.col(0));
+        assert_eq!(r.len(), self.n, "multilevel apply: r length");
+        assert_eq!(z.len(), self.n, "multilevel apply: z length");
+        self.walk(r, z, 1, &[0], None);
     }
 
+    /// The walk, with each active column's `rᵀz` fused into level 0's
+    /// second sweep (a separate `dot_with_scratch` pass when level 0 has
+    /// no such sweep: the additive cycle, a coarse-only hierarchy).
     fn apply_dot_block(
         &self,
         r: &DenseBlock,
@@ -378,13 +670,10 @@ impl Preconditioner for MultilevelSteiner {
         rz: &mut [f64],
         partials: &mut [f64],
     ) {
-        // The walk writes z in place; rᵀz uses the same chunked kernel as
-        // the default `apply_dot_into`, so the override is
-        // bitwise-transparent by construction.
-        self.apply_block_into(r, z, active);
-        for &j in active {
-            rz[j] = dot_with_scratch(r.col(j), z.col(j), partials);
-        }
+        assert_eq!(r.n(), self.n, "multilevel apply: r column length");
+        assert_eq!(z.n(), self.n, "multilevel apply: z column length");
+        assert_eq!(r.k(), z.k(), "multilevel apply: block widths");
+        self.walk(r, z, r.k(), active, Some(Dot { rz, partials }));
     }
 }
 
@@ -539,50 +828,64 @@ mod tests {
         // The shared-traversal block cycle must reproduce the recursive
         // reference cycle bit for bit on every active column (and so must
         // apply_into and the fused rᵀz), for both cycle flavors, deep and
-        // single-level hierarchies, and strict active subsets.
-        let g = generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 5) as f64);
-        let n = g.num_vertices();
-        for (smoothing, coarse_size) in [(true, 16), (false, 16), (true, 1000)] {
-            let m = MultilevelSteiner::new(
-                &g,
-                &MultilevelOptions {
-                    hierarchy: hicond_core::HierarchyOptions {
-                        coarse_size,
+        // single-level hierarchies, and strict active subsets. The 80×80
+        // grid's level 0 spans two BLAS-1 chunks, so at caps 2 and 4 its
+        // level sweeps and the chunked rᵀz run on the pool.
+        let graphs = [
+            generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 5) as f64),
+            generators::grid2d(80, 80, |u, v| 1.0 + ((u + 2 * v) % 5) as f64),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for g in &graphs {
+            let n = g.num_vertices();
+            for (smoothing, coarse_size) in [(true, 16), (false, 16), (true, 1000)] {
+                let m = MultilevelSteiner::new(
+                    g,
+                    &MultilevelOptions {
+                        hierarchy: hicond_core::HierarchyOptions {
+                            coarse_size,
+                            ..Default::default()
+                        },
+                        smoothing,
                         ..Default::default()
                     },
-                    smoothing,
-                    ..Default::default()
-                },
-            );
-            let cols: Vec<Vec<f64>> = (0..3)
-                .map(|s| {
-                    let mut c: Vec<f64> = (0..n)
-                        .map(|i| ((i * 31 + s * 7 + 1) % 13) as f64 - 6.0)
-                        .collect();
-                    deflate_constant(&mut c);
-                    c
-                })
-                .collect();
-            let r = hicond_linalg::DenseBlock::from_columns(&cols);
-            let mut partials = vec![0.0; hicond_linalg::vector::scratch_len(n)];
-            for active in [vec![0usize, 1, 2], vec![1], vec![0, 2]] {
-                let mut z = hicond_linalg::DenseBlock::new(n, 3);
-                let mut rz = vec![f64::NAN; 3];
-                m.apply_dot_block(&r, &mut z, &active, &mut rz, &mut partials);
-                for &j in &active {
-                    let reference = m.cycle(0, &cols[j]);
-                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    let tag = format!(
-                        "smoothing={smoothing} coarse={coarse_size} col {j} active {active:?}"
-                    );
-                    assert_eq!(bits(z.col(j)), bits(&reference), "{tag}");
-                    assert_eq!(
-                        bits(&m.apply(&cols[j])),
-                        bits(&reference),
-                        "{tag} apply_into"
-                    );
-                    let dot = dot_with_scratch(&cols[j], &reference, &mut partials);
-                    assert_eq!(rz[j].to_bits(), dot.to_bits(), "{tag} rᵀz");
+                );
+                let cols: Vec<Vec<f64>> = (0..3)
+                    .map(|s| {
+                        let mut c: Vec<f64> = (0..n)
+                            .map(|i| ((i * 31 + s * 7 + 1) % 13) as f64 - 6.0)
+                            .collect();
+                        deflate_constant(&mut c);
+                        c
+                    })
+                    .collect();
+                let refs: Vec<Vec<f64>> = cols.iter().map(|c| m.cycle(0, c)).collect();
+                let r = hicond_linalg::DenseBlock::from_columns(&cols);
+                let mut partials = vec![0.0; hicond_linalg::vector::scratch_len(n)];
+                for cap in [1, 2, 4] {
+                    for active in [vec![0usize, 1, 2], vec![1], vec![0, 2]] {
+                        let mut z = hicond_linalg::DenseBlock::new(n, 3);
+                        let mut rz = vec![f64::NAN; 3];
+                        rayon::pool::with_thread_cap(cap, || {
+                            m.apply_dot_block(&r, &mut z, &active, &mut rz, &mut partials)
+                        });
+                        for j in 0..3 {
+                            let tag = format!(
+                                "n={n} smoothing={smoothing} coarse={coarse_size} cap {cap} \
+                                 col {j} active {active:?}"
+                            );
+                            if !active.contains(&j) {
+                                assert!(z.col(j).iter().all(|&v| v == 0.0), "{tag} untouched");
+                                assert!(rz[j].is_nan(), "{tag} rz untouched");
+                                continue;
+                            }
+                            assert_eq!(bits(z.col(j)), bits(&refs[j]), "{tag}");
+                            let one = rayon::pool::with_thread_cap(cap, || m.apply(&cols[j]));
+                            assert_eq!(bits(&one), bits(&refs[j]), "{tag} apply_into");
+                            let dot = dot_with_scratch(&cols[j], &refs[j], &mut partials);
+                            assert_eq!(rz[j].to_bits(), dot.to_bits(), "{tag} rᵀz");
+                        }
+                    }
                 }
             }
         }

@@ -55,6 +55,10 @@ grep -q '"kernels"' target/bench_smoke.json
 # The batched-solve phase gates every block column bitwise against its
 # solo solve before timing; the grep pins that the k-sweep was emitted.
 grep -q '"batch"' target/bench_smoke.json
+# The walk ledger gates the fused block walk bitwise against the
+# one-column walk before timing; the grep pins that the per-level table
+# was emitted.
+grep -q '"walk_levels"' target/bench_smoke.json
 
 step "artifact cache round-trip smoke (build -> corrupt -> reject -> rebuild -> solve)"
 rm -rf target/cache_smoke && mkdir -p target/cache_smoke

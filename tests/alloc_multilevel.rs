@@ -8,6 +8,10 @@
 //! when walks run concurrently on one shared solver: two threads solving
 //! at once, and the column groups of a two-column `solve_block`.
 //!
+//! The walk itself is pinned too: a one-column `apply_into` allocates
+//! nothing once warm, and alternating one- and two-column solves reuse
+//! one grow-only workspace instead of rebuilding it at every switch.
+//!
 //! The allocation counter is process-wide, so the tests take a lock and
 //! never count while another one runs.
 
@@ -47,7 +51,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use hicond_graph::generators;
 use hicond_linalg::cg::CgOptions;
-use hicond_linalg::{block_pcg_solve, DenseBlock};
+use hicond_linalg::{block_pcg_solve, DenseBlock, Preconditioner};
 use hicond_precond::{LaplacianSolver, MultilevelSteiner, SolveError, SolverOptions};
 use rayon::pool::with_thread_cap;
 use std::sync::{Mutex, MutexGuard};
@@ -205,4 +209,79 @@ fn concurrent_walks_on_one_solver_are_allocation_free() {
         "doubling the iteration count changed the allocation count of a \
          fanned-out solve_block: a walk allocated per apply ({block30} vs {block60})"
     );
+}
+
+#[test]
+fn apply_into_allocates_nothing_once_warm() {
+    let _serial = serial();
+    let (g, cols) = grid_and_rhs(1);
+    let m = MultilevelSteiner::new(&g, &Default::default());
+    let mut z = vec![0.0; g.num_vertices()];
+    // Cap 1 runs every level sweep inline; cap 4 puts level 0 (16900
+    // rows, five BLAS-1 chunks) on the pool.
+    for cap in [1, 4] {
+        with_thread_cap(cap, || {
+            // The warmup sizes the workspace and spawns the pool workers.
+            m.apply_into(&cols[0], &mut z);
+            let ((), count) = allocs_during(|| {
+                for _ in 0..10 {
+                    m.apply_into(&cols[0], &mut z);
+                }
+            });
+            assert_eq!(count, 0, "ten warm apply_into calls at cap {cap} allocated");
+        });
+    }
+}
+
+#[test]
+fn alternating_walk_widths_reuse_one_workspace() {
+    let _serial = serial();
+    let (g, cols) = grid_and_rhs(2);
+    let a = hicond_graph::laplacian(&g);
+    let m = MultilevelSteiner::new(&g, &Default::default());
+    let one = DenseBlock::from_columns(&cols[..1]);
+    let two = DenseBlock::from_columns(&cols);
+    // Cap 1: no column fan-out, so every walk of a two-column solve is
+    // two columns wide and shares the preconditioner's one workspace
+    // with the one-column solves.
+    with_thread_cap(1, || {
+        // (one-column solve after a one-column solve, one-column solve
+        // after a two-column solve, an alternating pair) allocations at
+        // `iters` fixed iterations.
+        let counts = |iters: usize| {
+            let cg = CgOptions {
+                rel_tol: 0.0, // never met: run exactly `iters` iterations
+                max_iter: iters,
+                record_residuals: false,
+            };
+            let solve = |b: &DenseBlock| {
+                for res in block_pcg_solve(&a, &m, b, &cg) {
+                    assert_eq!(res.iterations, iters);
+                }
+            };
+            solve(&two);
+            solve(&one);
+            let after_one = allocs_during(|| solve(&one)).1;
+            solve(&two);
+            let after_two = allocs_during(|| solve(&one)).1;
+            let pair = allocs_during(|| {
+                solve(&two);
+                solve(&one);
+            })
+            .1;
+            (after_one, after_two, pair)
+        };
+        let (after_one30, after_two30, pair30) = counts(30);
+        let (_, _, pair60) = counts(60);
+        assert_eq!(
+            after_one30, after_two30,
+            "a one-column walk after a two-column walk reallocated the \
+             workspace ({after_one30} vs {after_two30} allocations)"
+        );
+        assert_eq!(
+            pair30, pair60,
+            "doubling the iteration count changed the allocation count of \
+             alternating one- and two-column solves ({pair30} vs {pair60})"
+        );
+    });
 }

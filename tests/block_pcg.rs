@@ -129,38 +129,58 @@ fn block_pcg_bitwise_invariant_across_caps_and_jitter() {
 #[test]
 fn solve_block_bitwise_invariant_across_caps_and_jitter() {
     let _guard = JitterGuard;
-    let g = generators::oct_like_grid3d(8, 8, 8, 7, generators::OctParams::default());
-    let solver = LaplacianSolver::new(&g, &SolverOptions::default());
-    let cols = rhs_columns(g.num_vertices(), 3);
-    let key = |results: &[Result<hicond_precond::Solution, hicond_precond::SolveError>]| {
-        results
-            .iter()
-            .map(|r| match r {
-                Ok(s) => (bits(&s.x), s.iterations, true),
-                Err(_) => (Vec::new(), 0, false),
-            })
-            .collect::<Vec<_>>()
-    };
-    let reference = with_thread_cap(1, || {
-        set_sched_jitter(None);
-        key(&solver.solve_block(&cols))
-    });
-    assert!(
-        reference.iter().all(|(_, _, ok)| *ok),
-        "all columns converge"
-    );
-    for cap in CAPS {
-        for seed in JITTER_SEEDS {
-            let got = with_thread_cap(cap, || {
-                set_sched_jitter(seed);
-                let r = key(&solver.solve_block(&cols));
-                set_sched_jitter(None);
-                r
-            });
-            assert!(
-                got == reference,
-                "solve_block diverged at cap {cap}, jitter {seed:?}"
-            );
+    // The 8³ volume keeps every level inside one BLAS-1 chunk; the 80×80
+    // grid's level 0 (6400 rows) spans two, so its level sweeps and the
+    // chunked rᵀz run on the pool at caps 2 and 4. The one-column solve
+    // takes the pool itself: a fanned-out block runs its groups' kernels
+    // inline.
+    let graphs = [
+        generators::oct_like_grid3d(8, 8, 8, 7, generators::OctParams::default()),
+        generators::grid2d(80, 80, |u, v| 1.0 + ((u + 3 * v) % 5) as f64),
+    ];
+    for g in &graphs {
+        let n = g.num_vertices();
+        let solver = LaplacianSolver::new(g, &SolverOptions::default());
+        let cols = rhs_columns(n, 3);
+        let key = |results: &[Result<hicond_precond::Solution, hicond_precond::SolveError>]| {
+            results
+                .iter()
+                .map(|r| match r {
+                    Ok(s) => (bits(&s.x), s.iterations, true),
+                    Err(_) => (Vec::new(), 0, false),
+                })
+                .collect::<Vec<_>>()
+        };
+        let run = || {
+            let mut k = key(&solver.solve_block(&cols));
+            k.extend(key(&[solver.solve(&cols[0])]));
+            k
+        };
+        let reference = with_thread_cap(1, || {
+            set_sched_jitter(None);
+            run()
+        });
+        assert!(
+            reference.iter().all(|(_, _, ok)| *ok),
+            "n={n}: all columns converge"
+        );
+        assert_eq!(
+            reference[0], reference[3],
+            "n={n}: block column 0 equals its solo solve"
+        );
+        for cap in CAPS {
+            for seed in JITTER_SEEDS {
+                let got = with_thread_cap(cap, || {
+                    set_sched_jitter(seed);
+                    let r = run();
+                    set_sched_jitter(None);
+                    r
+                });
+                assert!(
+                    got == reference,
+                    "n={n}: solve_block diverged at cap {cap}, jitter {seed:?}"
+                );
+            }
         }
     }
 }
