@@ -45,8 +45,8 @@
 //! alone, the prolongation, sweep 2 (`A·v₂` and post-smoothing) and the
 //! coarse solve — as single-threaded medians with each level's rows and
 //! nnz, on a 2D grid and an OCT volume. The walk is first gated bitwise:
-//! a three-column `apply_dot_block` at 1 thread and at the maximum cap
-//! must equal per-column `apply_into` (and its `rᵀz` the chunked dot).
+//! the fused `apply_dot_into` of three columns at 1 thread and at the
+//! maximum cap must equal `apply_into` (and its `rᵀz` the chunked dot).
 //!
 //! An **observability cost gate** times the same single-threaded PCG solve
 //! with the flight recorder + metrics fully enabled (`HICOND_OBS=json`)
@@ -63,7 +63,6 @@ use hicond_graph::{generators, laplacian, Graph, RootedForest};
 use hicond_linalg::cg::{pcg_solve, CgOptions, JacobiPreconditioner, Preconditioner};
 use hicond_linalg::csr::CsrMatrix;
 use hicond_linalg::vector::{dot_with_scratch, scratch_len};
-use hicond_linalg::DenseBlock;
 use hicond_precond::{
     decode_solver, encode_solver, LaplacianSolver, MultilevelSteiner, SolverOptions,
 };
@@ -421,8 +420,8 @@ fn main() {
     // ---- Hierarchy-walk ledger (DESIGN.md §12) ----
     // Per level of one V-cycle: where the walk's time goes, on the graphs
     // of the two perfbench workloads (small stand-ins for smoke runs).
-    // Gated bitwise first — the fused block walk with its rᵀz against
-    // the one-column walk — then each phase timed at 1 thread.
+    // Gated bitwise first — the fused walk with its rᵀz against the
+    // plain walk and the chunked dot — then each phase timed at 1 thread.
     let grid = |side| generators::grid2d(side, side, |_, _| 1.0);
     let oct = |side| generators::oct_like_grid3d(side, side, side, 42, Default::default());
     let walk_graphs = if cfg.smoke {
@@ -435,23 +434,19 @@ fn main() {
         let m = MultilevelSteiner::new(g, &solver_opts.multilevel);
         let wn = g.num_vertices();
         let cols: Vec<Vec<f64>> = (0..3).map(|j| consistent_rhs(wn, 3000 + j)).collect();
-        let r = DenseBlock::from_columns(&cols);
         let mut partials = vec![0.0; scratch_len(wn)];
         for cap in [1, *THREADS.last().unwrap()] {
-            let mut z = DenseBlock::new(wn, 3);
-            let mut rz = vec![0.0; 3];
-            with_thread_cap(cap, || {
-                m.apply_dot_block(&r, &mut z, &[0, 1, 2], &mut rz, &mut partials)
-            });
             for (j, col) in cols.iter().enumerate() {
+                let mut z = vec![0.0; wn];
+                let rz = with_thread_cap(cap, || m.apply_dot_into(col, &mut z, &mut partials));
                 let one = with_thread_cap(1, || m.apply(col));
                 assert_eq!(
-                    bits(z.col(j)),
+                    bits(&z),
                     bits(&one),
-                    "walk {name}: block column {j} at cap {cap} diverges bitwise from apply_into"
+                    "walk {name}: apply_dot_into of column {j} at cap {cap} diverges bitwise from apply_into"
                 );
                 assert_eq!(
-                    rz[j].to_bits(),
+                    rz.to_bits(),
                     dot_with_scratch(col, &one, &mut partials).to_bits(),
                     "walk {name}: fused rᵀz of column {j} at cap {cap} diverges bitwise"
                 );

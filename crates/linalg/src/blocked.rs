@@ -1,5 +1,6 @@
 //! Band-blocked CSR SpMV: the kernel behind every production SpMV
-//! ([`crate::csr::CsrMatrix::spmv_into`] and the CSR block apply).
+//! ([`crate::csr::CsrMatrix::spmv_into`] and the fused row sweeps of
+//! [`crate::csr::CsrMatrix::sweep_rows`]).
 //!
 //! Plain CSR SpMV walks `row_ptr: &[usize]` and performs one indexed load
 //! per nonzero through three parallel arrays. This module trades a
@@ -27,7 +28,6 @@
 //! the floating-point expression — so blocked and reference results are
 //! bitwise identical at any thread count.
 
-use crate::block::DenseBlock;
 use rayon::prelude::*;
 
 /// Rows per cache band. 1024 rows × (8B ptr + ~5 nnz × 12B) keeps a band's
@@ -199,50 +199,6 @@ impl BlockIndex {
             }
         }
     }
-
-    /// Multi-vector blocked SpMV: `y[:, j] = A x[:, j]` for each `j` in
-    /// `active`. The sequential path is **band-major**: each matrix band's
-    /// pointers, indices, and values are loaded once and feed all active
-    /// columns while still hot in cache, instead of being re-streamed k
-    /// times. The parallel path runs the band-parallel [`Self::mul_into`]
-    /// column by column, so neither path allocates.
-    ///
-    /// The per-(band, column) work is exactly [`Self::band_into`], so each
-    /// column's result is bitwise identical to [`Self::mul_into`] on that
-    /// column alone, at any thread count and jitter seed. Inactive columns
-    /// are neither read nor written.
-    ///
-    /// # Panics
-    /// Panics if a column length disagrees with the indexed row count or
-    /// `active` indexes past the block width.
-    pub fn mul_block_into(
-        &self,
-        col_idx: &[u32],
-        values: &[f64],
-        x: &DenseBlock,
-        y: &mut DenseBlock,
-        active: &[usize],
-        parallel: bool,
-    ) {
-        assert_eq!(y.n(), self.nrows, "blocked block mul: y length");
-        if parallel {
-            for &j in active {
-                self.mul_into(col_idx, values, x.col(j), y.col_mut(j), true);
-            }
-            return;
-        }
-        if hicond_obs::enabled() {
-            hicond_obs::counter_add("spmv/blocks", self.nbands() as u64);
-            hicond_obs::counter_add("spmv/block_columns", active.len() as u64);
-        }
-        for b in 0..self.nbands() {
-            let r0 = b * BAND_ROWS;
-            let r1 = ((b + 1) * BAND_ROWS).min(self.nrows);
-            for &j in active {
-                self.band_into(b, col_idx, values, x.col(j), &mut y.col_mut(j)[r0..r1]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -277,38 +233,6 @@ mod tests {
                 let mut y = vec![0.0; n];
                 bi.mul_into(a.col_idx(), a.values(), &x, &mut y, parallel);
                 assert_eq!(bits(&y_ref), bits(&y), "n={n} parallel={parallel}");
-            }
-        }
-    }
-
-    #[test]
-    fn block_mul_matches_per_column_bitwise() {
-        for n in [7usize, BAND_ROWS, 2 * BAND_ROWS + 31] {
-            let a = banded(n, 4);
-            let cols: Vec<Vec<f64>> = (0..3)
-                .map(|j| (0..n).map(|i| ((i + 31 * j) as f64 * 0.3).sin()).collect())
-                .collect();
-            let bi = BlockIndex::build(n, a.row_ptr()).expect("index builds");
-            let mut refs: Vec<Vec<f64>> = vec![vec![0.0; n]; 3];
-            for (x, y) in cols.iter().zip(refs.iter_mut()) {
-                bi.mul_into(a.col_idx(), a.values(), x, y, false);
-            }
-            let x = DenseBlock::from_columns(&cols);
-            for parallel in [false, true] {
-                let mut y = DenseBlock::new(n, 3);
-                bi.mul_block_into(a.col_idx(), a.values(), &x, &mut y, &[0, 2], parallel);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                for j in [0, 2] {
-                    assert_eq!(
-                        bits(y.col(j)),
-                        bits(&refs[j]),
-                        "n={n} parallel={parallel} col={j}"
-                    );
-                }
-                assert!(
-                    y.col(1).iter().all(|&v| v == 0.0),
-                    "inactive column untouched"
-                );
             }
         }
     }

@@ -8,11 +8,10 @@
 //! have the constant vector in their kernel — as long as `b` is orthogonal
 //! to the kernel; iterates then stay in the kernel's complement.
 
-use crate::block::{pcg_engine, DenseBlock};
 use crate::ops::LinearOperator;
 use crate::vector::{
-    dot_with_scratch, fused_axpy_dot_self, fused_copy_dot, fused_scale_dot, norm2, par_axpy,
-    scratch_len, xpby,
+    dot_with_scratch, fused_axpy_dot_self, fused_copy_dot, fused_scale_dot, fused_update_x_r,
+    norm2, par_axpy, scratch_len, xpby,
 };
 
 /// A symmetric positive (semi)definite preconditioner: application of
@@ -30,53 +29,17 @@ pub trait Preconditioner {
     /// (`apply_into` then [`dot_with_scratch`]), so every implementor gets
     /// correct (and trivially bitwise-matching) behavior for free.
     /// Implementors that *can* produce `z` and accumulate `rᵀz` in a single
-    /// traversal should override this — the default
-    /// [`Self::apply_dot_block`] calls it once per column per PCG
+    /// traversal should override this — the PCG engine calls it once per
     /// iteration, and eliminating the extra read of `r` and `z` is one of
-    /// the two memory-sweep savings of the fused solver. **Contract:** an
-    /// override must return bitwise the same `z` and the same dot value as
-    /// the default (same per-element arithmetic, same chunk geometry, same
-    /// fixed-shape partial reduction); `tests/determinism.rs` holds
-    /// implementations to it.
+    /// the two memory-sweep savings of the fused solver (the multilevel
+    /// Steiner solver in `hicond-precond` folds it into its last level
+    /// sweep). **Contract:** an override must return bitwise the same `z`
+    /// and the same dot value as the default (same per-element arithmetic,
+    /// same chunk geometry, same fixed-shape partial reduction) at any
+    /// thread cap; `tests/determinism.rs` holds implementations to it.
     fn apply_dot_into(&self, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
         self.apply_into(r, z);
         dot_with_scratch(r, z, partials)
-    }
-
-    /// `z[:, j] = M⁻¹ r[:, j]` and `rz[j] = r[:, j]ᵀ z[:, j]` for each `j`
-    /// in `active` (sorted, unique) — the preconditioner sweep of the
-    /// block-PCG engine, fused with the `rᵀz` inner product it needs next.
-    /// Together with the operator's
-    /// [`crate::ops::LinearOperator::apply_block`] this is how one
-    /// iteration serves k right-hand sides with one traversal each.
-    ///
-    /// **Contract:** each active column of `z`, and each `rz[j]`, must be
-    /// bitwise identical to [`Self::apply_dot_into`] on that column alone,
-    /// at any thread cap. The default loops `apply_dot_into` column by
-    /// column; hierarchical implementations should override with a shared
-    /// traversal (one walk of the level structure feeding all columns) as
-    /// long as per-column arithmetic order is preserved — the multilevel
-    /// Steiner solver in `hicond-precond` does exactly that. Inactive
-    /// columns of `z` and entries of `rz` must not be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if block shapes disagree with the preconditioner dimension,
-    /// `rz` is shorter than the block width, or `active` indexes out of
-    /// range.
-    fn apply_dot_block(
-        &self,
-        r: &DenseBlock,
-        z: &mut DenseBlock,
-        active: &[usize],
-        rz: &mut [f64],
-        partials: &mut [f64],
-    ) {
-        assert_eq!(r.n(), self.dim(), "apply_dot_block: r column length");
-        assert_eq!(z.n(), self.dim(), "apply_dot_block: z column length");
-        for &j in active {
-            rz[j] = self.apply_dot_into(r.col(j), z.col_mut(j), partials);
-        }
     }
 
     /// Allocating `M⁻¹ r`.
@@ -187,10 +150,23 @@ pub fn cg_solve<A: LinearOperator>(a: &A, b: &[f64], opts: &CgOptions) -> CgResu
 /// Steiner preconditioner of the paper enters here through its Schur
 /// complement action (see `hicond-precond`).
 ///
-/// A one-column [`crate::block_pcg_solve`]: the block engine is the only PCG
-/// loop, so a solo solve runs the same fused iteration (and emits the same
-/// telemetry) as every column of a batch. Bitwise identical to
-/// [`pcg_solve_unfused`]; CI gates on the equivalence.
+/// This is the workspace's only production PCG loop: every column of a
+/// batch ([`crate::block_pcg_solve`]) is one such solve. Per iteration it
+/// makes one operator apply, one fused preconditioner apply with `rᵀz`
+/// ([`Preconditioner::apply_dot_into`]), and updates `x += αp`,
+/// `r −= α·Ap` and `‖r‖²` in one pass ([`fused_update_x_r`]). Bitwise
+/// identical to [`pcg_solve_unfused`] — same kernels or fused twins with
+/// the same per-element arithmetic and chunk geometry — at any thread cap
+/// and jitter seed; CI gates on the equivalence. All scratch is allocated
+/// before the loop, and the iteration itself performs no heap allocation
+/// (`tests/alloc_counting.rs`).
+///
+/// # Telemetry
+///
+/// Observe-only, so on/off runs are bitwise identical: a `pcg` span, the
+/// `cg/solves` and `cg/iterations` counters, the `cg/residual` trace, a
+/// convergence watchdog, and a flight milestone each time the relative
+/// residual crosses a decade.
 ///
 /// # Panics
 ///
@@ -201,15 +177,152 @@ pub fn pcg_solve<A: LinearOperator, M: Preconditioner>(
     b: &[f64],
     opts: &CgOptions,
 ) -> CgResult {
-    let mut rhs = DenseBlock::new(b.len(), 1);
-    rhs.col_mut(0).copy_from_slice(b);
-    // A one-column block yields exactly one result.
-    pcg_engine(a, m, &rhs, opts, true).pop().unwrap_or_default()
+    pcg_engine(a, m, b, opts, true)
+}
+
+/// Interned flight-recorder name for residual-decade milestones, resolved
+/// once per process so the hot loop never touches the intern mutex.
+fn residual_milestone_id() -> u32 {
+    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
+    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
+}
+
+/// The PCG loop behind [`pcg_solve`]. `trace_residual` selects whether
+/// this solve owns the `cg/residual` trace: a batch hands it to its first
+/// column only, so concurrent solves never interleave points in it.
+pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
+    a: &A,
+    m: &M,
+    b: &[f64],
+    opts: &CgOptions,
+    trace_residual: bool,
+) -> CgResult {
+    let n = a.dim();
+    assert_eq!(b.len(), n, "pcg: rhs length");
+    assert_eq!(m.dim(), n, "pcg: preconditioner dim");
+    // One relaxed load; the loop below stays allocation- and lock-free
+    // when observability is off.
+    let obs_on = hicond_obs::enabled();
+    let _span = hicond_obs::span("pcg");
+    if obs_on {
+        hicond_obs::counter_add("cg/solves", 1);
+        hicond_obs::counter_add("cg/scratch_bytes", 8 * (5 * n + scratch_len(n)) as u64);
+        if trace_residual {
+            // Reserve the whole series so per-iteration pushes never
+            // allocate.
+            hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
+        }
+    }
+    let bnorm = norm2(b);
+    let mut x = vec![0.0; n];
+    let mut history = Vec::new();
+    // A zero rhs is converged at iteration 0 with residual 0.
+    // exact: a norm is 0.0 iff b is identically zero.
+    if bnorm == 0.0 {
+        return CgResult {
+            x,
+            iterations: 0,
+            final_rel_residual: 0.0,
+            residual_history: history,
+            converged: true,
+        };
+    }
+    // The watchdog and milestones read computed residuals and never
+    // produce a value the iteration uses.
+    let mut watchdog = obs_on.then(hicond_obs::Watchdog::new);
+    // Next decade of the relative residual that fires a flight milestone;
+    // the solve starts at ‖b‖/‖b‖ = 1.
+    let mut next_milestone = 0.1f64;
+    let mut r = b.to_vec();
+    let mut z = vec![0.0; n];
+    let mut ap = vec![0.0; n];
+    let mut partials = vec![0.0; scratch_len(n)];
+    let mut rz = m.apply_dot_into(&r, &mut z, &mut partials);
+    let mut p = z.clone();
+    if opts.record_residuals {
+        history.reserve(opts.max_iter + 2);
+        history.push(norm2(&r));
+    }
+    if obs_on && trace_residual {
+        hicond_obs::trace_push("cg/residual", norm2(&r));
+    }
+    let mut iterations = 0;
+    let mut converged = false;
+    while iterations < opts.max_iter {
+        a.apply_into(&p, &mut ap);
+        let pap = dot_with_scratch(&p, &ap, &mut partials);
+        if pap <= 0.0 {
+            break; // hit the (numerical) kernel
+        }
+        let alpha = rz / pap;
+        if !alpha.is_finite() {
+            break; // breakdown
+        }
+        let rnorm = fused_update_x_r(alpha, &p, &ap, &mut x, &mut r, &mut partials).sqrt();
+        iterations += 1;
+        if opts.record_residuals {
+            history.push(rnorm);
+        }
+        if obs_on {
+            if trace_residual {
+                hicond_obs::trace_push("cg/residual", rnorm);
+            }
+            let rel = rnorm / bnorm;
+            if let Some(w) = watchdog.as_mut() {
+                w.observe(iterations as u64, rel);
+            }
+            if rel > 0.0 && rel.is_finite() && rel < next_milestone {
+                // One event per iteration at most, on crossing a residual
+                // decade (bounded: at worst ~300 divisions down to
+                // underflow).
+                hicond_obs::flight::event(
+                    hicond_obs::flight::EventKind::ResidualMilestone,
+                    residual_milestone_id(),
+                    iterations as u64,
+                    rel.to_bits(),
+                );
+                while next_milestone > rel {
+                    next_milestone /= 10.0;
+                }
+            }
+        }
+        if rnorm <= opts.rel_tol * bnorm {
+            converged = true;
+            break;
+        }
+        if !rnorm.is_finite() || iterations >= opts.max_iter {
+            // At the cap the textbook loop would run one more
+            // preconditioner apply before its loop condition fails;
+            // skipping it changes only scratch (z, p), never an output.
+            break;
+        }
+        let rz_new = m.apply_dot_into(&r, &mut z, &mut partials);
+        // exact: only a zero (or non-finite) rz poisons β = rz_new/rz.
+        if rz_new == 0.0 || !rz_new.is_finite() {
+            break; // stagnated
+        }
+        let beta = rz_new / rz;
+        rz = rz_new;
+        xpby(&z, beta, &mut p);
+    }
+    let final_rel_residual = norm2(&r) / bnorm;
+    if obs_on {
+        hicond_obs::counter_add("cg/iterations", iterations as u64);
+        hicond_obs::hist_record("cg/iterations_per_solve", iterations as f64);
+        hicond_obs::gauge_set("cg/final_rel_residual", final_rel_residual);
+    }
+    CgResult {
+        x,
+        iterations,
+        final_rel_residual,
+        residual_history: history,
+        converged,
+    }
 }
 
 /// The textbook (unfused) PCG iteration: separate sweeps for the `x`
 /// update, the `r` update, the residual norm, the preconditioner apply, and
-/// the `rᵀz` dot, with no telemetry. It is the reference the block engine
+/// the `rᵀz` dot, with no telemetry. It is the reference the PCG engine
 /// is gated against — benchmark and CI both compare [`pcg_solve`] to this
 /// bitwise.
 ///

@@ -411,11 +411,11 @@ impl CsrMatrix {
         }
     }
 
-    /// The one SpMV dispatch, shared by [`CsrMatrix::spmv_into`] and the
-    /// block apply: the lazily built band index and whether its bands run
-    /// on the pool. `None` means a band would overflow its `u32` offsets,
-    /// and the caller runs the reference kernel instead. The index
-    /// depends only on structure, so it stays valid across
+    /// The one SpMV dispatch, shared by [`CsrMatrix::spmv_into`] and
+    /// [`CsrMatrix::sweep_rows`]: the lazily built band index and whether
+    /// its bands run on the pool. `None` means a band would overflow its
+    /// `u32` offsets, and the caller runs the reference kernel instead.
+    /// The index depends only on structure, so it stays valid across
     /// [`CsrMatrix::values_mut`] edits.
     ///
     /// The bands go to the pool iff the rows span more than one chunk of

@@ -40,7 +40,7 @@ pub mod ssor;
 pub mod tridiag;
 pub mod vector;
 
-pub use block::{block_pcg_solve, DenseBlock};
+pub use block::block_pcg_solve;
 pub use blocked::BAND_ROWS;
 pub use cg::{
     cg_solve, pcg_solve, pcg_solve_unfused, CgOptions, CgResult, IdentityPreconditioner,

@@ -6,7 +6,6 @@
 //! wrappers, and composite operators like the normalized Laplacian
 //! `I − D^{-1/2} A D^{-1/2}` built without forming the product explicitly.
 
-use crate::block::DenseBlock;
 use crate::csr::CsrMatrix;
 use crate::vector::{axpby_inplace, hadamard_inplace, hadamard_into};
 
@@ -25,29 +24,6 @@ pub trait LinearOperator {
         y
     }
 
-    /// `y[:, j] = A x[:, j]` for each `j` in `active` (sorted, unique) —
-    /// the multi-vector apply the block-PCG engine drives.
-    ///
-    /// **Contract:** each active column of the output must be bitwise
-    /// identical to [`Self::apply_into`] on that column alone, at any
-    /// thread cap. The default delegates column by column, satisfying the
-    /// contract trivially; implementors that can amortize one operator
-    /// traversal across the block (see [`CsrMatrix`]'s band-major
-    /// override) should, as long as per-column arithmetic order is
-    /// untouched. Inactive columns must not be read or written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if block shapes disagree with the operator dimension or
-    /// `active` indexes out of range.
-    fn apply_block(&self, x: &DenseBlock, y: &mut DenseBlock, active: &[usize]) {
-        assert_eq!(x.n(), self.dim(), "apply_block: x column length");
-        assert_eq!(y.n(), self.dim(), "apply_block: y column length");
-        for &j in active {
-            self.apply_into(x.col(j), y.col_mut(j));
-        }
-    }
-
     /// Rayleigh quotient `xᵀAx / xᵀx` (undefined for `x = 0`).
     fn rayleigh(&self, x: &[f64]) -> f64 {
         let y = self.apply(x);
@@ -63,24 +39,6 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_into(x, y);
-    }
-
-    /// Band-major block SpMV through the same dispatch as
-    /// [`CsrMatrix::spmv_into`]. Allocation-free; each column is bitwise
-    /// identical to `apply_into` on that column.
-    fn apply_block(&self, x: &DenseBlock, y: &mut DenseBlock, active: &[usize]) {
-        assert_eq!(x.n(), self.ncols(), "apply_block: x column length");
-        assert_eq!(y.n(), self.nrows(), "apply_block: y column length");
-        match self.spmv_path() {
-            Some((bands, parallel)) => {
-                bands.mul_block_into(self.col_idx(), self.values(), x, y, active, parallel)
-            }
-            None => {
-                for &j in active {
-                    self.mul_into(x.col(j), y.col_mut(j));
-                }
-            }
-        }
     }
 }
 

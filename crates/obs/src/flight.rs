@@ -35,7 +35,10 @@
 //! another writer overtakes its slot — can garble at most that one event's
 //! payload, never memory safety, and the stamp re-check discards the torn
 //! slot in all interleavings short of a full additional lap occurring
-//! between a reader's two stamp loads. `tests/model.rs` explores the
+//! between a reader's two stamp loads. Such a writer, once it resumes,
+//! republishes its own overtaken stamp; a drain reports only the last
+//! `capacity` sequences below the head, so that stale event never
+//! resurfaces. `tests/model.rs` explores the
 //! writer/reader protocol exhaustively under the C11 memory model and
 //! certifies the discard logic; `MODELS.md` records the result.
 //!
@@ -363,11 +366,11 @@ impl FlightRecorder {
         })
     }
 
-    /// Collects every live event at or after the `since` watermark,
-    /// sorted by sequence. "At or after" is wrapping distance —
-    /// `seq.wrapping_sub(since) < 2⁶³` — so drains behave across u64
-    /// sequence wraparound (the live window is at most `capacity` events
-    /// wide, vastly below 2⁶³).
+    /// Collects every live event at or after the `since` watermark among
+    /// the last `capacity` sequences, sorted by sequence. "At or after" is
+    /// wrapping distance — `seq.wrapping_sub(since) < 2⁶³` — so drains
+    /// behave across u64 sequence wraparound (the live window is at most
+    /// `capacity` events wide, vastly below 2⁶³).
     ///
     /// Does not consume: the ring keeps overwriting in place. Callers
     /// doing periodic scrapes pass the previous watermark (`head()` at the
@@ -381,6 +384,13 @@ impl FlightRecorder {
                 }
             }
         }
+        // A writer stalled for a full lap republishes its own, overtaken
+        // stamp, which still passes the structural check; the window below
+        // the head keeps such an event out. Read after the scan, the head
+        // is past every sequence read above: each Acquire stamp load
+        // orders its writer's `fetch_add` before this load.
+        let head = self.head();
+        out.retain(|e| head.wrapping_sub(e.seq) <= self.mask + 1);
         // Wrapping distance from the watermark orders correctly even when
         // the window straddles the u64 wrap point.
         out.sort_by_key(|e| e.seq.wrapping_sub(since));
@@ -708,6 +718,51 @@ mod tests {
         // drain_since trims to a watermark.
         let tail = rec.drain_since(total - 5);
         assert_eq!(tail.len(), 5);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn writer_overtaken_by_a_full_lap_is_not_drained() {
+        // A writer frozen mid-slot while the ring laps it republishes its
+        // own stamp over the newer event that took its slot. That stamp
+        // passes the structural check, so only the drain's window —
+        // the last `capacity` sequences below the head — keeps it out.
+        use std::sync::atomic::AtomicBool;
+        const CAP: usize = 4;
+        // Far from any sequence another test's recorder reaches: the
+        // hook is process-wide and sees every recorder's writes.
+        const START: u64 = 0x5eed_0000_0000_0000;
+        static STALLED: AtomicBool = AtomicBool::new(false);
+        static RELEASED: AtomicBool = AtomicBool::new(false);
+        assert!(
+            set_mid_slot_hook(Box::new(|seq| {
+                if seq == START {
+                    STALLED.store(true, Ordering::Release);
+                    while !RELEASED.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+            })),
+            "mid-slot hook already installed in this process"
+        );
+        let rec = std::sync::Arc::new(FlightRecorder::with_capacity_and_start(CAP, START));
+        let writer = {
+            let rec = std::sync::Arc::clone(&rec);
+            std::thread::spawn(move || rec.record(EventKind::CacheHit, 1, 0, 0, 0))
+        };
+        while !STALLED.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // Lap the frozen writer: START + CAP reuses its slot.
+        for i in 1..=CAP as u64 {
+            rec.record(EventKind::CacheMiss, 2, 0, i, 0);
+        }
+        RELEASED.store(true, Ordering::Release);
+        writer.join().expect("writer thread panicked");
+        let seqs: Vec<u64> = rec.drain_since(START).iter().map(|e| e.seq).collect();
+        // START + CAP lost its slot to the stale stamp; START itself is
+        // older than the last CAP sequences and must not come back.
+        assert_eq!(seqs, vec![START + 1, START + 2, START + 3]);
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl Decode for MultilevelSteiner {
             smoothing,
             omega,
             n,
-            block_ws: std::sync::Mutex::new(Vec::new()),
+            walk_ws: std::sync::Mutex::new(Vec::new()),
         })
     }
 }

@@ -29,28 +29,35 @@
 //!    `z = v₂ + ωD⁻¹(r − Av₂)` row by row; on level 0 it also adds `r·z`
 //!    into the PCG inner product `rᵀz`.
 //!
-//! The sweeps walk the active columns one at a time, each column's rows
-//! in `chunk_len(n)` chunks that go to the pool iff the level spans more
-//! than one BLAS-1 chunk (`num_chunks(n) > 1`, the rule of every kernel
-//! in `hicond_linalg::vector` and of [`CsrMatrix::spmv_into`]); a
-//! one-chunk level runs on the calling thread. The restriction stays one
-//! sequential pass because the order of its scatter is part of its bits.
+//! Each sweep runs its rows in `chunk_len(n)` chunks that go to the pool
+//! iff the level spans more than one BLAS-1 chunk (`num_chunks(n) > 1`,
+//! the rule of every kernel in `hicond_linalg::vector` and of
+//! [`CsrMatrix::spmv_into`]); a one-chunk level runs on the calling
+//! thread. The restriction stays one sequential pass because the order of
+//! its scatter is part of its bits.
 //!
-//! **Why the bits hold.** Per column, every value is the same
-//! floating-point expression, evaluated in the same order, as in the
-//! test-only recursive reference `cycle`: a row sum is the SpMV's row
-//! loop; the restriction adds the same rounded summands in increasing
-//! vertex order; and `rᵀz` adds `r_i·z_i` from `Sum`'s neutral in row
-//! order within each `chunk_len(n)` chunk, then combines the chunk
-//! partials along `tree_sum` — exactly `dot_with_scratch`. Which thread
-//! runs a chunk changes no expression, so the output is the same at any
-//! thread cap and jitter seed.
+//! The walk serves one vector: a batch of right-hand sides is k solo
+//! solves (`hicond_linalg::block_pcg_solve`), each applying this
+//! preconditioner to its own column. Its buffers live in a workspace
+//! checked out of a free list, so concurrent walks (serve lanes, the
+//! column groups of one batch) never share one and a steady-state apply
+//! allocates nothing.
+//!
+//! **Why the bits hold.** Every value is the same floating-point
+//! expression, evaluated in the same order, as in the test-only recursive
+//! reference `cycle`: a row sum is the SpMV's row loop; the restriction
+//! adds the same rounded summands in increasing vertex order; and `rᵀz`
+//! adds `r_i·z_i` from `Sum`'s neutral in row order within each
+//! `chunk_len(n)` chunk, then combines the chunk partials along
+//! `tree_sum` — exactly `dot_with_scratch`. Which thread runs a chunk
+//! changes no expression, so the output is the same at any thread cap
+//! and jitter seed.
 
 use crate::steiner::GroundedLaplacianSolver;
 use hicond_core::{build_hierarchy, Hierarchy, HierarchyOptions};
 use hicond_graph::{laplacian, Graph};
 use hicond_linalg::vector::dot_with_scratch;
-use hicond_linalg::{CsrMatrix, DenseBlock, Preconditioner};
+use hicond_linalg::{CsrMatrix, Preconditioner};
 use rayon::pool::{chunk_len, num_chunks};
 use rayon::prelude::*;
 use std::sync::Mutex;
@@ -84,136 +91,78 @@ pub(crate) struct MlLevel {
 }
 
 /// Reusable buffers for the hierarchy walk
-/// ([`MultilevelSteiner::cycle_block_into`]): one entry per level plus
-/// the coarse Cholesky scratch.
+/// ([`MultilevelSteiner::cycle_into`]): one entry per level plus the
+/// coarse Cholesky scratch.
 ///
-/// At serve-batch widths these blocks run to hundreds of kilobytes —
-/// past the allocator's mmap threshold — so a fresh
-/// allocate/fault/free cycle on every apply costs more than the
-/// arithmetic it feeds. The buffers are sized on first use and kept
-/// across applies, so a steady-state apply allocates nothing. They only
-/// grow: a walk narrower than the widest one seen uses the leading
-/// columns, so alternating batch widths never reallocate.
-///
-/// Concurrent walks on one shared preconditioner (serve lanes, the
-/// column groups of one block solve) each check out their own
-/// workspace from a free list, so the list settles at one workspace per
-/// walk that has ever run at the same time as the others.
+/// The buffers are sized on first use and kept across applies, so a
+/// steady-state apply allocates nothing. Concurrent walks on one shared
+/// preconditioner (serve lanes, the column groups of one batch) each
+/// check out their own workspace from a free list, so the list settles
+/// at one workspace per walk that has ever run at the same time as the
+/// others.
 #[derive(Default)]
-pub(crate) struct BlockWs {
-    k: usize,
+pub(crate) struct WalkWs {
     levels: Vec<LevelWs>,
     /// Scratch for the coarse grounded Cholesky solves.
     coarse: Vec<f64>,
 }
 
 struct LevelWs {
-    /// Smoother iterate `v₁` (level size × k).
-    v1: DenseBlock,
-    /// `r − A v₁` of one column (level size), written by sweep 1 before
-    /// the in-order restriction; sweep 2 keeps its chunk partials of `rᵀz`
-    /// here when the walk's caller wants no `rᵀz`.
+    /// Smoother iterate `v₁` (level size).
+    v1: Vec<f64>,
+    /// `r − A v₁` (level size), written by sweep 1 before the in-order
+    /// restriction; sweep 2 keeps its chunk partials of `rᵀz` here when
+    /// the walk's caller wants no `rᵀz`.
     res: Vec<f64>,
-    /// Restricted residual handed down (num_clusters × k).
-    rc: DenseBlock,
-    /// Coarse correction coming back up (num_clusters × k).
-    co: DenseBlock,
+    /// Restricted residual handed down (num_clusters).
+    rc: Vec<f64>,
+    /// Coarse correction coming back up (num_clusters).
+    co: Vec<f64>,
 }
 
-impl BlockWs {
-    /// Checks a workspace out of the free list, preferring one already
-    /// wide enough for `k` columns, or hands back an empty one when every
-    /// cached workspace is in use. The lock is held only for the pop —
-    /// never across the hierarchy walk — so `block_ws` stays a leaf in
-    /// the lock-order graph.
-    fn take(list: &Mutex<Vec<BlockWs>>, k: usize) -> BlockWs {
-        let mut list = match list.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match list.iter().rposition(|ws| ws.k >= k) {
-            Some(i) => list.swap_remove(i),
-            None => list.pop().unwrap_or_default(),
+impl WalkWs {
+    /// Checks a workspace out of the free list, or hands back an empty one
+    /// when every cached workspace is in use. The lock is held only for
+    /// the pop — never across the hierarchy walk — so `walk_ws` stays a
+    /// leaf in the lock-order graph.
+    fn take(list: &Mutex<Vec<WalkWs>>) -> WalkWs {
+        match list.lock() {
+            Ok(mut g) => g.pop(),
+            Err(poisoned) => poisoned.into_inner().pop(),
         }
+        .unwrap_or_default()
     }
 
     /// Returns a workspace to the free list for the next apply. A
     /// poisoned lock is reusable: every pass rewrites the buffers it
     /// reads before reading them.
-    fn store(list: &Mutex<Vec<BlockWs>>, ws: BlockWs) {
+    fn store(list: &Mutex<Vec<WalkWs>>, ws: WalkWs) {
         match list.lock() {
             Ok(mut g) => g.push(ws),
             Err(poisoned) => poisoned.into_inner().push(ws),
         }
     }
 
-    /// Grows the level buffers to width `k` (no-op when they are already
-    /// at least that wide) and sizes the coarse scratch.
-    fn ensure(&mut self, m: &MultilevelSteiner, k: usize) {
-        if self.k < k || self.levels.len() != m.levels.len() {
-            self.k = k;
+    /// Sizes the level buffers for `m` (a no-op once sized) and the
+    /// coarse scratch.
+    fn ensure(&mut self, m: &MultilevelSteiner) {
+        if self.levels.len() != m.levels.len() {
             self.levels = m
                 .levels
                 .iter()
                 .map(|l| {
                     let n = l.lap.nrows();
                     LevelWs {
-                        v1: DenseBlock::new(n, k),
+                        v1: vec![0.0; n],
                         res: vec![0.0; n],
-                        rc: DenseBlock::new(l.num_clusters, k),
-                        co: DenseBlock::new(l.num_clusters, k),
+                        rc: vec![0.0; l.num_clusters],
+                        co: vec![0.0; l.num_clusters],
                     }
                 })
                 .collect();
         }
         self.coarse.resize(m.coarse.scratch_len(), 0.0);
     }
-}
-
-/// The columns a walk reads: a block's, or one bare slice (the
-/// one-column [`Preconditioner::apply_into`], which then needs no block
-/// copy of `r` or `z`).
-trait Columns {
-    fn col(&self, j: usize) -> &[f64];
-}
-
-/// The columns a walk writes.
-trait ColumnsMut: Columns {
-    fn col_mut(&mut self, j: usize) -> &mut [f64];
-}
-
-impl Columns for DenseBlock {
-    fn col(&self, j: usize) -> &[f64] {
-        DenseBlock::col(self, j)
-    }
-}
-
-impl ColumnsMut for DenseBlock {
-    fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        DenseBlock::col_mut(self, j)
-    }
-}
-
-/// A lone slice is column 0.
-impl Columns for [f64] {
-    fn col(&self, j: usize) -> &[f64] {
-        debug_assert_eq!(j, 0, "a slice holds one column");
-        self
-    }
-}
-
-impl ColumnsMut for [f64] {
-    fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        debug_assert_eq!(j, 0, "a slice holds one column");
-        self
-    }
-}
-
-/// Where level 0 of a walk leaves each active column's `rᵀz`: `rz[j]`,
-/// with `partials` (≥ `scratch_len(n)`) as the chunk-partial slots.
-struct Dot<'a> {
-    rz: &'a mut [f64],
-    partials: &'a mut [f64],
 }
 
 /// `res[i] = r[i] − (A v)[i]` for the rows `r0..r0 + res.len()`: the
@@ -269,9 +218,9 @@ pub struct MultilevelSteiner {
     pub(crate) smoothing: bool,
     pub(crate) omega: f64,
     pub(crate) n: usize,
-    /// Free list of block-apply workspaces; see [`BlockWs`]. Never
-    /// serialized — the artifact codec rebuilds an empty list on decode.
-    pub(crate) block_ws: Mutex<Vec<BlockWs>>,
+    /// Free list of walk workspaces; see [`WalkWs`]. Never serialized —
+    /// the artifact codec rebuilds an empty list on decode.
+    pub(crate) walk_ws: Mutex<Vec<WalkWs>>,
 }
 
 impl MultilevelSteiner {
@@ -318,7 +267,7 @@ impl MultilevelSteiner {
             smoothing: opts.smoothing,
             omega: opts.omega,
             n: g.num_vertices(),
-            block_ws: Mutex::new(Vec::new()),
+            walk_ws: Mutex::new(Vec::new()),
         }
     }
 
@@ -328,7 +277,7 @@ impl MultilevelSteiner {
     }
 
     /// The allocating recursive V-cycle: the test reference that
-    /// [`Self::cycle_block_into`] is held to bit for bit.
+    /// [`Self::cycle_into`] is held to bit for bit.
     #[cfg(test)]
     fn cycle(&self, level: usize, r: &[f64]) -> Vec<f64> {
         if level == self.levels.len() {
@@ -367,193 +316,145 @@ impl MultilevelSteiner {
             .collect()
     }
 
-    /// Multi-column cycle: one walk of the hierarchy serves every active
-    /// column of `rb`, writing results into the matching columns of `out`.
-    /// Each level runs its passes for every active column before the walk
-    /// descends, so the level's Laplacian, restriction table and inverse
-    /// degrees are read from cache for all but the first column. All
-    /// intermediates live in the caller's [`BlockWs`] (one [`LevelWs`]
-    /// per level, `ws[0]` for this level), so a steady-state apply
-    /// performs no allocation at all.
+    /// The hierarchy walk from `level` down: `out = M⁻¹ r` on that
+    /// level. All intermediates live in the caller's [`WalkWs`] (one
+    /// [`LevelWs`] per level, `ws[0]` for this level), so a steady-state
+    /// apply performs no allocation at all.
     ///
     /// A V-cycle level is two fused row sweeps around the coarse
-    /// correction (see [`Self::sweep1`] and [`Self::sweep2`]); with
-    /// `dot`, level 0 also leaves each column's `rᵀz` in `dot.rz`.
+    /// correction (see [`Self::sweep1`] and [`Self::sweep2`]). With
+    /// `partials` (at least `scratch_len(n)` slots) the walk also returns
+    /// `rᵀz`, fused into level 0's second sweep.
     ///
-    /// Every per-column arithmetic expression, and its evaluation order,
-    /// is copied verbatim from the test-only recursive reference `cycle`:
-    /// each row sum is the SpMV's, the restriction accumulates the summand
+    /// Every arithmetic expression, and its evaluation order, is copied
+    /// verbatim from the test-only recursive reference `cycle`: each row
+    /// sum is the SpMV's, the restriction accumulates the summand
     /// `r[v] − (Av₁)[v]` in the same vertex order the reference
     /// materializes it, and `rᵀz` keeps `dot_with_scratch`'s chunks and
-    /// tree. So each column of the result is bitwise identical to a
-    /// single-vector cycle on that column.
-    #[allow(clippy::too_many_arguments)]
-    fn cycle_block_into<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
+    /// tree. So the result is bitwise identical to the reference cycle.
+    fn cycle_into(
         &self,
         level: usize,
-        rb: &R,
-        out: &mut O,
-        active: &[usize],
+        r: &[f64],
+        out: &mut [f64],
         ws: &mut [LevelWs],
         coarse_scratch: &mut [f64],
-        dot: Option<Dot<'_>>,
-    ) {
+        partials: Option<&mut [f64]>,
+    ) -> Option<f64> {
         if level == self.levels.len() {
-            for &j in active {
-                // One coarse solve per column, all sharing the factors.
-                self.coarse
-                    .solve_into(rb.col(j), out.col_mut(j), coarse_scratch);
-            }
-            dot_after(rb, out, active, dot);
-            return;
+            self.coarse.solve_into(r, out, coarse_scratch);
+            return partials.map(|p| dot_with_scratch(r, out, p));
         }
         let l = &self.levels[level];
         let (lw, rest) = ws
             .split_first_mut()
-            // audit: allow(panic-path) — BlockWs::ensure sizes one entry per level
-            .expect("block workspace depth matches hierarchy depth");
+            // audit: allow(panic-path) — WalkWs::ensure sizes one entry per level
+            .expect("walk workspace depth matches hierarchy depth");
         if !self.smoothing {
-            // Additive: D⁻¹ r + R M₊ Rᵀ r over one shared coarse block.
-            for &j in active {
-                lw.rc.col_mut(j).fill(0.0);
-                scatter_add(&l.assignment, rb.col(j), lw.rc.col_mut(j));
+            // Additive: D⁻¹ r + R M₊ Rᵀ r.
+            lw.rc.fill(0.0);
+            scatter_add(&l.assignment, r, &mut lw.rc);
+            self.cycle_into(level + 1, &lw.rc, &mut lw.co, rest, coarse_scratch, None);
+            for (((zv, &rv), &d), &c) in out.iter_mut().zip(r).zip(&l.inv_d).zip(&l.assignment) {
+                // bounds: assignment < num_clusters == co.len().
+                *zv = d * rv + lw.co[c as usize];
             }
-            self.cycle_block_into(
-                level + 1,
-                &lw.rc,
-                &mut lw.co,
-                active,
-                rest,
-                coarse_scratch,
-                None,
-            );
-            for &j in active {
-                let (rj, cj, oj) = (rb.col(j), lw.co.col(j), out.col_mut(j));
-                for (((zv, &rv), &d), &c) in oj.iter_mut().zip(rj).zip(&l.inv_d).zip(&l.assignment)
-                {
-                    // bounds: assignment < num_clusters == cj.len().
-                    *zv = d * rv + cj[c as usize];
-                }
-            }
-            dot_after(rb, out, active, dot);
-            return;
+            // No sweep to fuse rᵀz into: the separate chunked pass.
+            return partials.map(|p| dot_with_scratch(r, out, p));
         }
-        // V-cycle with damped Jacobi smoothing, block-wide.
-        self.sweep1(l, rb, active, lw);
-        self.cycle_block_into(
-            level + 1,
-            &lw.rc,
-            &mut lw.co,
-            active,
-            rest,
-            coarse_scratch,
-            None,
-        );
-        prolong(l, active, lw);
-        self.sweep2(l, rb, out, active, lw, dot);
+        // V-cycle with damped Jacobi smoothing.
+        self.sweep1(l, r, lw);
+        self.cycle_into(level + 1, &lw.rc, &mut lw.co, rest, coarse_scratch, None);
+        prolong(l, lw);
+        self.sweep2(l, r, out, lw, partials)
     }
 
-    /// Sweep 1 of a V-cycle level, column by column: `v₁ = ωD⁻¹r` (one
-    /// zip pass), then the rows of `A v₁` chunk by chunk, each row writing
-    /// `r − (Av₁)` into `lw.res`, then the restriction of `lw.res` into
-    /// `lw.rc`. The restriction adds the summands in increasing row order
-    /// — the order is part of the bits, so it never runs in parallel.
-    fn sweep1<R: Columns + ?Sized>(&self, l: &MlLevel, rb: &R, active: &[usize], lw: &mut LevelWs) {
+    /// Sweep 1 of a V-cycle level: `v₁ = ωD⁻¹r` (one zip pass), then the
+    /// rows of `A v₁` chunk by chunk, each row writing `r − (Av₁)` into
+    /// `lw.res`, then the restriction of `lw.res` into `lw.rc`. The
+    /// restriction adds the summands in increasing row order — the order
+    /// is part of the bits, so it never runs in parallel.
+    fn sweep1(&self, l: &MlLevel, r: &[f64], lw: &mut LevelWs) {
         let cl = chunk_len(l.lap.nrows());
-        for &j in active {
-            let rj = rb.col(j);
-            for ((v, &d), &r) in lw.v1.col_mut(j).iter_mut().zip(&l.inv_d).zip(rj) {
-                *v = self.omega * d * r;
-            }
-            let v1 = lw.v1.col(j);
-            lw.res
-                .par_chunks_mut(cl)
-                .enumerate()
-                .for_each(|(c, res)| residual(&l.lap, rj, v1, c * cl, res));
-            let rc = lw.rc.col_mut(j);
-            rc.fill(0.0);
-            scatter_add(&l.assignment, &lw.res, rc);
+        for ((v, &d), &rv) in lw.v1.iter_mut().zip(&l.inv_d).zip(r) {
+            *v = self.omega * d * rv;
         }
+        let v1 = &lw.v1;
+        lw.res
+            .par_chunks_mut(cl)
+            .enumerate()
+            .for_each(|(c, res)| residual(&l.lap, r, v1, c * cl, res));
+        lw.rc.fill(0.0);
+        scatter_add(&l.assignment, &lw.res, &mut lw.rc);
     }
 
-    /// Sweep 2 of a V-cycle level, column by column: the rows of `A v₂`
-    /// (`v₂` is `lw.v1` after prolongation) chunk by chunk, each row
-    /// writing `z = v₂ + ωD⁻¹(r − A v₂)` as soon as its sum is done and
-    /// adding `r·z` to its chunk's partial from `Sum`'s neutral. With
-    /// `dot`, the partials combine along `tree_sum` into `dot.rz` —
-    /// exactly `dot_with_scratch`'s geometry, so `rᵀz` keeps its bits
-    /// without a separate pass; without, they land in the idle `lw.res`.
-    fn sweep2<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
+    /// Sweep 2 of a V-cycle level: the rows of `A v₂` (`v₂` is `lw.v1`
+    /// after prolongation) chunk by chunk, each row writing
+    /// `z = v₂ + ωD⁻¹(r − A v₂)` as soon as its sum is done and adding
+    /// `r·z` to its chunk's partial from `Sum`'s neutral. With `partials`,
+    /// they combine along `tree_sum` into the returned `rᵀz` — exactly
+    /// `dot_with_scratch`'s geometry, so `rᵀz` keeps its bits without a
+    /// separate pass; without, they land in the idle `lw.res`.
+    fn sweep2(
         &self,
         l: &MlLevel,
-        rb: &R,
-        out: &mut O,
-        active: &[usize],
+        r: &[f64],
+        out: &mut [f64],
         lw: &mut LevelWs,
-        dot: Option<Dot<'_>>,
-    ) {
+        partials: Option<&mut [f64]>,
+    ) -> Option<f64> {
         let n = l.lap.nrows();
         let (cl, nc) = (chunk_len(n), num_chunks(n));
         let omega = self.omega;
         // The value `Sum` folds from, so partials match `dot`'s bit for bit.
         let neutral: f64 = std::iter::empty::<f64>().sum();
-        let (mut rz, partials) = match dot {
-            Some(d) => (Some(d.rz), &mut d.partials[..nc]),
-            None => (None, &mut lw.res[..nc]),
+        let want_dot = partials.is_some();
+        let partials = match partials {
+            Some(p) => &mut p[..nc],
+            None => &mut lw.res[..nc],
         };
-        for &j in active {
-            let (rj, v2) = (rb.col(j), lw.v1.col(j));
-            partials
-                .par_iter_mut()
-                .zip(out.col_mut(j).par_chunks_mut(cl))
-                .enumerate()
-                .for_each(|(c, (p, zc))| {
-                    let rows = c * cl..c * cl + zc.len();
-                    let mut acc = neutral;
-                    let mut row = zc
-                        .iter_mut()
-                        .zip(&rj[rows.clone()])
-                        .zip(&l.inv_d[rows.clone()])
-                        .zip(&v2[rows.clone()]);
-                    l.lap.sweep_rows(v2, rows, |s| {
-                        if let Some((((z, &r), &d), &v)) = row.next() {
-                            *z = v + omega * d * (r - s);
-                            acc += r * *z;
-                        }
-                    });
-                    *p = acc;
+        let v2 = &lw.v1;
+        partials
+            .par_iter_mut()
+            .zip(out.par_chunks_mut(cl))
+            .enumerate()
+            .for_each(|(c, (p, zc))| {
+                let rows = c * cl..c * cl + zc.len();
+                let mut acc = neutral;
+                let mut row = zc
+                    .iter_mut()
+                    .zip(&r[rows.clone()])
+                    .zip(&l.inv_d[rows.clone()])
+                    .zip(&v2[rows.clone()]);
+                l.lap.sweep_rows(v2, rows, |s| {
+                    if let Some((((z, &r), &d), &v)) = row.next() {
+                        *z = v + omega * d * (r - s);
+                        acc += r * *z;
+                    }
                 });
-            if let Some(rz) = rz.as_deref_mut() {
-                rz[j] = rayon::tree_sum(partials);
-            }
-        }
+                *p = acc;
+            });
+        want_dot.then(|| rayon::tree_sum(partials))
     }
 
-    /// One shared hierarchy walk for the active columns of `r` (`k`
-    /// columns wide) into `z`, on a cached workspace; with `dot`, also
-    /// each active column's `rᵀz`.
-    fn walk<R: Columns + ?Sized, O: ColumnsMut + ?Sized>(
-        &self,
-        r: &R,
-        z: &mut O,
-        k: usize,
-        active: &[usize],
-        dot: Option<Dot<'_>>,
-    ) {
+    /// One hierarchy walk of `r` into `z` on a cached workspace; with
+    /// `partials`, also returns `rᵀz`.
+    fn walk(&self, r: &[f64], z: &mut [f64], partials: Option<&mut [f64]>) -> Option<f64> {
         let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", active.len() as u64);
+        hicond_obs::counter_add("precond/ml_applies", 1);
         // Check a workspace out of the free list instead of holding the
         // lock across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly
         // the shape the lock-order analyzer refuses to certify. The lock
         // is only ever held for the pop and the push (see
-        // BlockWs::take/store). A walk that finds every workspace in use
+        // WalkWs::take/store). A walk that finds every workspace in use
         // allocates one, which joins the list on return, so concurrent
         // walks each reuse their own from then on.
-        let mut ws = BlockWs::take(&self.block_ws, k);
-        ws.ensure(self, k);
-        self.cycle_block_into(0, r, z, active, &mut ws.levels, &mut ws.coarse, dot);
-        BlockWs::store(&self.block_ws, ws);
+        let mut ws = WalkWs::take(&self.walk_ws);
+        ws.ensure(self);
+        let rz = self.cycle_into(0, r, z, &mut ws.levels, &mut ws.coarse, partials);
+        WalkWs::store(&self.walk_ws, ws);
+        rz
     }
 
     /// Times each V-cycle phase on every level of this hierarchy, on the
@@ -573,30 +474,31 @@ impl MultilevelSteiner {
         mut time: impl FnMut(&mut dyn FnMut()) -> u64,
     ) -> Vec<LevelNs> {
         assert_eq!(r.len(), self.n, "walk_ledger: r length");
-        let mut ws = BlockWs::default();
-        ws.ensure(self, 1);
+        let mut ws = WalkWs::default();
+        ws.ensure(self);
         // One full walk leaves every level's restricted residual and
         // coarse correction in the workspace.
         let mut z = vec![0.0; self.n];
-        self.cycle_block_into(0, r, &mut z[..], &[0], &mut ws.levels, &mut ws.coarse, None);
+        self.cycle_into(0, r, &mut z, &mut ws.levels, &mut ws.coarse, None);
         let mut rows = Vec::with_capacity(self.levels.len() + 1);
         for (level, l) in self.levels.iter().enumerate() {
             let (above, here) = ws.levels.split_at_mut(level);
-            let rl = above.last().map_or(r, |a| a.rc.col(0));
+            let rl = above.last().map_or(r, |a| &a.rc[..]);
             let Some(lw) = here.first_mut() else { break };
             let n = l.lap.nrows();
-            let sweep1 = time(&mut || self.sweep1(l, rl, &[0], lw));
+            let sweep1 = time(&mut || self.sweep1(l, rl, lw));
             // Sweep 1 leaves its residual in `lw.res`.
             let restrict = time(&mut || {
-                let rc = lw.rc.col_mut(0);
-                rc.fill(0.0);
-                scatter_add(&l.assignment, &lw.res, rc);
+                lw.rc.fill(0.0);
+                scatter_add(&l.assignment, &lw.res, &mut lw.rc);
             });
             // Repeated prolongations keep adding the same correction:
             // the values drift, the work does not.
-            let prolong = time(&mut || prolong(l, &[0], lw));
+            let prolong = time(&mut || prolong(l, lw));
             let mut out = vec![0.0; n];
-            let sweep2 = time(&mut || self.sweep2(l, rl, &mut out[..], &[0], lw, None));
+            let sweep2 = time(&mut || {
+                self.sweep2(l, rl, &mut out, lw, None);
+            });
             rows.push(LevelNs {
                 rows: n,
                 nnz: l.lap.nnz(),
@@ -607,7 +509,7 @@ impl MultilevelSteiner {
                 coarse: 0,
             });
         }
-        let rc = ws.levels.last().map_or(r, |lw| lw.rc.col(0));
+        let rc = ws.levels.last().map_or(r, |lw| &lw.rc[..]);
         let mut co = vec![0.0; self.coarse.dim()];
         let coarse = time(&mut || self.coarse.solve_into(rc, &mut co, &mut ws.coarse));
         rows.push(LevelNs {
@@ -619,30 +521,11 @@ impl MultilevelSteiner {
     }
 }
 
-/// Prolongation `v₁ += R c`: one zip pass per active column.
-fn prolong(l: &MlLevel, active: &[usize], lw: &mut LevelWs) {
-    for &j in active {
-        let (cj, vj) = (lw.co.col(j), lw.v1.col_mut(j));
-        for (v, &c) in vj.iter_mut().zip(&l.assignment) {
-            // bounds: assignment < num_clusters == cj.len().
-            *v += cj[c as usize];
-        }
-    }
-}
-
-/// `rᵀz` for walks whose last pass does not fuse it (the additive cycle,
-/// a hierarchy that is only the coarse solve): the separate
-/// `dot_with_scratch` pass.
-fn dot_after<R: Columns + ?Sized, O: Columns + ?Sized>(
-    rb: &R,
-    out: &O,
-    active: &[usize],
-    dot: Option<Dot<'_>>,
-) {
-    if let Some(d) = dot {
-        for &j in active {
-            d.rz[j] = dot_with_scratch(rb.col(j), out.col(j), d.partials);
-        }
+/// Prolongation `v₁ += R c`: one zip pass.
+fn prolong(l: &MlLevel, lw: &mut LevelWs) {
+    for (v, &c) in lw.v1.iter_mut().zip(&l.assignment) {
+        // bounds: assignment < num_clusters == co.len().
+        *v += lw.co[c as usize];
     }
 }
 
@@ -651,29 +534,20 @@ impl Preconditioner for MultilevelSteiner {
         self.n
     }
 
-    /// One column through the same walk as [`Self::apply_dot_block`],
-    /// run on `r` and `z` directly.
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.n, "multilevel apply: r length");
         assert_eq!(z.len(), self.n, "multilevel apply: z length");
-        self.walk(r, z, 1, &[0], None);
+        self.walk(r, z, None);
     }
 
-    /// The walk, with each active column's `rᵀz` fused into level 0's
-    /// second sweep (a separate `dot_with_scratch` pass when level 0 has
-    /// no such sweep: the additive cycle, a coarse-only hierarchy).
-    fn apply_dot_block(
-        &self,
-        r: &DenseBlock,
-        z: &mut DenseBlock,
-        active: &[usize],
-        rz: &mut [f64],
-        partials: &mut [f64],
-    ) {
-        assert_eq!(r.n(), self.n, "multilevel apply: r column length");
-        assert_eq!(z.n(), self.n, "multilevel apply: z column length");
-        assert_eq!(r.k(), z.k(), "multilevel apply: block widths");
-        self.walk(r, z, r.k(), active, Some(Dot { rz, partials }));
+    /// The walk, with `rᵀz` fused into level 0's second sweep (a separate
+    /// `dot_with_scratch` pass when level 0 has no such sweep: the
+    /// additive cycle, a coarse-only hierarchy).
+    fn apply_dot_into(&self, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
+        assert_eq!(r.len(), self.n, "multilevel apply: r length");
+        assert_eq!(z.len(), self.n, "multilevel apply: z length");
+        // A walk handed the partials always returns its rᵀz.
+        self.walk(r, z, Some(partials)).unwrap_or(f64::NAN)
     }
 }
 
@@ -825,12 +699,12 @@ mod tests {
 
     #[test]
     fn block_apply_matches_single_apply_bitwise() {
-        // The shared-traversal block cycle must reproduce the recursive
-        // reference cycle bit for bit on every active column (and so must
-        // apply_into and the fused rᵀz), for both cycle flavors, deep and
-        // single-level hierarchies, and strict active subsets. The 80×80
-        // grid's level 0 spans two BLAS-1 chunks, so at caps 2 and 4 its
-        // level sweeps and the chunked rᵀz run on the pool.
+        // The walk must reproduce the recursive reference cycle bit for
+        // bit through `apply_into` and `apply_dot_into` (and its fused rᵀz
+        // must equal the chunked dot), for both cycle flavors and deep and
+        // single-level hierarchies. The 80×80 grid's level 0 spans two
+        // BLAS-1 chunks, so at caps 2 and 4 its level sweeps and the
+        // chunked rᵀz run on the pool.
         let graphs = [
             generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 5) as f64),
             generators::grid2d(80, 80, |u, v| 1.0 + ((u + 2 * v) % 5) as f64),
@@ -859,32 +733,22 @@ mod tests {
                         c
                     })
                     .collect();
-                let refs: Vec<Vec<f64>> = cols.iter().map(|c| m.cycle(0, c)).collect();
-                let r = hicond_linalg::DenseBlock::from_columns(&cols);
                 let mut partials = vec![0.0; hicond_linalg::vector::scratch_len(n)];
-                for cap in [1, 2, 4] {
-                    for active in [vec![0usize, 1, 2], vec![1], vec![0, 2]] {
-                        let mut z = hicond_linalg::DenseBlock::new(n, 3);
-                        let mut rz = vec![f64::NAN; 3];
-                        rayon::pool::with_thread_cap(cap, || {
-                            m.apply_dot_block(&r, &mut z, &active, &mut rz, &mut partials)
+                for (j, col) in cols.iter().enumerate() {
+                    let reference = m.cycle(0, col);
+                    let dot = dot_with_scratch(col, &reference, &mut partials);
+                    for cap in [1, 2, 4] {
+                        let tag = format!(
+                            "n={n} smoothing={smoothing} coarse={coarse_size} cap {cap} col {j}"
+                        );
+                        let mut z = vec![0.0; n];
+                        let rz = rayon::pool::with_thread_cap(cap, || {
+                            m.apply_dot_into(col, &mut z, &mut partials)
                         });
-                        for j in 0..3 {
-                            let tag = format!(
-                                "n={n} smoothing={smoothing} coarse={coarse_size} cap {cap} \
-                                 col {j} active {active:?}"
-                            );
-                            if !active.contains(&j) {
-                                assert!(z.col(j).iter().all(|&v| v == 0.0), "{tag} untouched");
-                                assert!(rz[j].is_nan(), "{tag} rz untouched");
-                                continue;
-                            }
-                            assert_eq!(bits(z.col(j)), bits(&refs[j]), "{tag}");
-                            let one = rayon::pool::with_thread_cap(cap, || m.apply(&cols[j]));
-                            assert_eq!(bits(&one), bits(&refs[j]), "{tag} apply_into");
-                            let dot = dot_with_scratch(&cols[j], &refs[j], &mut partials);
-                            assert_eq!(rz[j].to_bits(), dot.to_bits(), "{tag} rᵀz");
-                        }
+                        assert_eq!(bits(&z), bits(&reference), "{tag} apply_dot_into");
+                        assert_eq!(rz.to_bits(), dot.to_bits(), "{tag} rᵀz");
+                        let one = rayon::pool::with_thread_cap(cap, || m.apply(col));
+                        assert_eq!(bits(&one), bits(&reference), "{tag} apply_into");
                     }
                 }
             }

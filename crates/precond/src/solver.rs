@@ -22,7 +22,7 @@
 use crate::multilevel::{MultilevelOptions, MultilevelSteiner};
 use hicond_graph::{laplacian, Graph};
 use hicond_linalg::cg::CgOptions;
-use hicond_linalg::{block_pcg_solve, CsrMatrix, DenseBlock};
+use hicond_linalg::{block_pcg_solve, CsrMatrix};
 
 /// Options for [`LaplacianSolver`].
 #[derive(Debug, Clone, Copy)]
@@ -155,19 +155,17 @@ impl LaplacianSolver {
         self.solve_one(b, true)
     }
 
-    /// Solves `L x = bᵢ` for a whole batch of right-hand sides with **one**
-    /// block-PCG run: per iteration the Laplacian and the multilevel
-    /// hierarchy are each traversed once for all still-active columns
-    /// (see [`block_pcg_solve`]), instead of once per rhs.
+    /// Solves `L x = bᵢ` for a whole batch of right-hand sides: the
+    /// columns are solo PCG solves fanned over the thread pool (see
+    /// [`block_pcg_solve`]), sharing one setup.
     ///
     /// Results are index-aligned with `bs`. Each column is validated
     /// independently — a wrong-length or inconsistent rhs gets its own
-    /// `Err` and never enters the block; the remaining columns solve
+    /// `Err` and never enters the batch; the remaining columns solve
     /// normally. Each returned solution is **bitwise identical** to what
     /// [`Self::solve`] produces for that rhs alone, at any thread cap and
-    /// jitter seed: both run the same validation, projection, block
-    /// engine, and zero-mean normalization, and the engine's columns do
-    /// not interact.
+    /// jitter seed: both run the same validation, projection, PCG engine,
+    /// and zero-mean normalization, and the columns do not interact.
     pub fn solve_block(&self, bs: &[Vec<f64>]) -> Vec<Result<Solution, SolveError>> {
         let _span = hicond_obs::span("solve_block");
         hicond_obs::counter_add("solver/block_solves", 1);
@@ -215,7 +213,7 @@ impl LaplacianSolver {
     }
 
     /// The shared solve path: validate each rhs, project the admitted ones
-    /// to zero mean per component, run one block-PCG over them, and
+    /// to zero mean per component, solve them with [`block_pcg_solve`], and
     /// normalize each solution to zero mean per component. Results (with
     /// the residual history when `record`) are index-aligned with `bs`.
     fn solve_columns<B: AsRef<[f64]>>(
@@ -224,7 +222,6 @@ impl LaplacianSolver {
         record: bool,
     ) -> Vec<Result<(Solution, Vec<f64>), SolveError>> {
         hicond_obs::counter_add("solver/solves", bs.len() as u64);
-        let n = self.dim();
         let mut comp_cnt = vec![0usize; self.num_components];
         for &c in &self.comp_labels {
             comp_cnt[c as usize] += 1; // bounds: labels < num_components
@@ -235,23 +232,21 @@ impl LaplacianSolver {
         };
         let checked: Vec<Result<Vec<f64>, SolveError>> =
             bs.iter().map(|b| self.component_sums(b.as_ref())).collect();
-        let mut block = DenseBlock::new(n, checked.iter().filter(|c| c.is_ok()).count());
-        for (col, (b, sums)) in bs
+        let projected: Vec<Vec<f64>> = bs
             .iter()
             .zip(&checked)
-            .filter_map(|(b, c)| c.as_ref().ok().map(|s| (b.as_ref(), s)))
-            .enumerate()
-        {
-            for (v, (r, &bv)) in block.col_mut(col).iter_mut().zip(b).enumerate() {
-                *r = bv - mean(sums, v);
-            }
-        }
+            .filter_map(|(b, c)| {
+                let sums = c.as_ref().ok()?;
+                let b = b.as_ref().iter().enumerate();
+                Some(b.map(|(v, &bv)| bv - mean(sums, v)).collect())
+            })
+            .collect();
         let opts = CgOptions {
             rel_tol: self.opts.rel_tol,
             max_iter: self.opts.max_iter,
             record_residuals: record,
         };
-        let mut solved = block_pcg_solve(&self.lap, &self.pre, &block, &opts).into_iter();
+        let mut solved = block_pcg_solve(&self.lap, &self.pre, &projected, &opts).into_iter();
         checked
             .into_iter()
             .map(|c| {

@@ -35,8 +35,14 @@ cargo test --offline --workspace -q
 step "cargo test --offline (HICOND_THREADS=4, parallel engine path)"
 HICOND_THREADS=4 cargo test --offline --workspace -q
 
+step "cargo test --offline (HICOND_THREADS=4, observability recording on)"
+# With telemetry on, the allocation gates also cover the engine's and the
+# walk's recording paths (spans, counters, the residual trace).
+HICOND_THREADS=4 HICOND_OBS=json cargo test --offline --workspace -q
+
 step "schedule-perturbation stress (HICOND_THREADS=4, seeded jitter)"
 HICOND_THREADS=4 cargo test --offline -q --test sched_stress --test obs_stress
+HICOND_THREADS=4 HICOND_SCHED_JITTER=1 cargo test --offline -q --test determinism
 # Serve lanes: the 4-lane protocol stress and the fault-hook test under
 # jitter, then the TCP front end on the one-lane path.
 HICOND_THREADS=4 HICOND_SCHED_JITTER=1 cargo test --offline -q -p hicond --lib serve::batch
@@ -55,9 +61,9 @@ grep -q '"kernels"' target/bench_smoke.json
 # The batched-solve phase gates every block column bitwise against its
 # solo solve before timing; the grep pins that the k-sweep was emitted.
 grep -q '"batch"' target/bench_smoke.json
-# The walk ledger gates the fused block walk bitwise against the
-# one-column walk before timing; the grep pins that the per-level table
-# was emitted.
+# The walk ledger gates the fused apply_dot_into walk bitwise against
+# apply_into and the chunked dot before timing; the grep pins that the
+# per-level table was emitted.
 grep -q '"walk_levels"' target/bench_smoke.json
 
 step "artifact cache round-trip smoke (build -> corrupt -> reject -> rebuild -> solve)"

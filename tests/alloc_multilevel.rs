@@ -2,7 +2,7 @@
 //! the multilevel Steiner preconditioner: `LaplacianSolver::solve` and a
 //! three-column `solve_block`, each run for 30 and for 60 fixed
 //! iterations (`rel_tol: 0.0`), must perform the same number of heap
-//! allocations. Any per-iteration allocation — in the block-PCG engine,
+//! allocations. Any per-iteration allocation — in the PCG engine,
 //! the operator or level SpMVs, the hierarchy walk or the coarse
 //! Cholesky solves — shows up as a nonzero difference. The same holds
 //! when walks run concurrently on one shared solver: two threads solving
@@ -10,7 +10,7 @@
 //!
 //! The walk itself is pinned too: a one-column `apply_into` allocates
 //! nothing once warm, and alternating one- and two-column solves reuse
-//! one grow-only workspace instead of rebuilding it at every switch.
+//! one workspace instead of rebuilding it at every switch.
 //!
 //! The allocation counter is process-wide, so the tests take a lock and
 //! never count while another one runs.
@@ -51,7 +51,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use hicond_graph::generators;
 use hicond_linalg::cg::CgOptions;
-use hicond_linalg::{block_pcg_solve, DenseBlock, Preconditioner};
+use hicond_linalg::{block_pcg_solve, Preconditioner};
 use hicond_precond::{LaplacianSolver, MultilevelSteiner, SolveError, SolverOptions};
 use rayon::pool::with_thread_cap;
 use std::sync::{Mutex, MutexGuard};
@@ -87,9 +87,9 @@ fn grid_and_rhs(cols: usize) -> (hicond_graph::Graph, Vec<Vec<f64>>) {
 #[test]
 fn multilevel_solve_loop_is_allocation_free() {
     let _serial = serial();
-    // Level 0 is above the blocked-SpMV nnz threshold and the 2^14 BLAS-1
-    // chunk crossover, so every kernel takes its dispatching path under
-    // the multi-thread cap below; the coarser levels take the small ones.
+    // Level 0 (16900 rows) spans five 4096-element BLAS-1 chunks, so its
+    // SpMVs, level sweeps and vector kernels take the pool under the
+    // multi-thread cap below; the coarser levels run inline.
     let g = generators::grid2d(130, 130, |u, v| 1.0 + ((u + 2 * v) % 5) as f64);
     let n = g.num_vertices();
     let cols: Vec<Vec<f64>> = (0..3)
@@ -109,8 +109,8 @@ fn multilevel_solve_loop_is_allocation_free() {
 
     with_thread_cap(4, || {
         // (solve allocations, solve_block allocations) at `iters`. The
-        // warmups spawn the pool workers and size the hierarchy
-        // workspace at widths 1 and 3 before anything is counted.
+        // warmups spawn the pool workers and size a hierarchy workspace
+        // for every concurrent walk before anything is counted.
         let counts = |iters: usize| {
             let solver = LaplacianSolver::new(&g, &opts(iters));
             let _warmup = solver.solve(&cols[0]);
@@ -146,7 +146,7 @@ fn multilevel_solve_loop_is_allocation_free() {
             max_iter: 60,
             record_residuals: false,
         };
-        for res in block_pcg_solve(&a, &m, &DenseBlock::from_columns(&cols), &cg) {
+        for res in block_pcg_solve(&a, &m, &cols, &cg) {
             assert_eq!(res.iterations, 60);
         }
     });
@@ -239,11 +239,10 @@ fn alternating_walk_widths_reuse_one_workspace() {
     let (g, cols) = grid_and_rhs(2);
     let a = hicond_graph::laplacian(&g);
     let m = MultilevelSteiner::new(&g, &Default::default());
-    let one = DenseBlock::from_columns(&cols[..1]);
-    let two = DenseBlock::from_columns(&cols);
-    // Cap 1: no column fan-out, so every walk of a two-column solve is
-    // two columns wide and shares the preconditioner's one workspace
-    // with the one-column solves.
+    let (one, two) = (&cols[..1], &cols[..]);
+    // Cap 1: no column fan-out, so the two columns of a two-column solve
+    // walk one after another and share the preconditioner's one
+    // workspace with the one-column solves.
     with_thread_cap(1, || {
         // (one-column solve after a one-column solve, one-column solve
         // after a two-column solve, an alternating pair) allocations at
@@ -254,19 +253,19 @@ fn alternating_walk_widths_reuse_one_workspace() {
                 max_iter: iters,
                 record_residuals: false,
             };
-            let solve = |b: &DenseBlock| {
+            let solve = |b: &[Vec<f64>]| {
                 for res in block_pcg_solve(&a, &m, b, &cg) {
                     assert_eq!(res.iterations, iters);
                 }
             };
-            solve(&two);
-            solve(&one);
-            let after_one = allocs_during(|| solve(&one)).1;
-            solve(&two);
-            let after_two = allocs_during(|| solve(&one)).1;
+            solve(two);
+            solve(one);
+            let after_one = allocs_during(|| solve(one)).1;
+            solve(two);
+            let after_two = allocs_during(|| solve(one)).1;
             let pair = allocs_during(|| {
-                solve(&two);
-                solve(&one);
+                solve(two);
+                solve(one);
             })
             .1;
             (after_one, after_two, pair)

@@ -1,18 +1,17 @@
-//! Block-PCG engine acceptance suite (ISSUE 10 tentpole): the block
-//! solver must be **column-wise bitwise identical** to k independent
-//! single-rhs solves, at every thread cap × scheduler-jitter seed, with
-//! per-column convergence masking that freezes finished columns without
-//! disturbing the rest.
+//! Batched-PCG acceptance suite: a batch solve must be **column-wise
+//! bitwise identical** to k independent single-rhs solves, at every
+//! thread cap × scheduler-jitter seed, with each column converging (or
+//! stopping at iteration 0 on a zero rhs) on its own.
 //!
 //! The per-crate unit tests cover the kernels in isolation; this suite
-//! exercises the full stack — `CsrMatrix::apply_block` band traversal,
-//! the multilevel preconditioner's shared-traversal `apply_block`, and
-//! `LaplacianSolver::solve_block` — the way the serve batch dispatcher
-//! drives it.
+//! exercises the full stack — `block_pcg_solve`'s column fan-out over the
+//! pool, the CSR operator, the multilevel preconditioner's fused walk,
+//! and `LaplacianSolver::solve_block` — the way the serve batch
+//! dispatcher drives it.
 
 use hicond_graph::generators;
 use hicond_linalg::cg::{pcg_solve, CgOptions};
-use hicond_linalg::{block_pcg_solve, CgResult, DenseBlock};
+use hicond_linalg::{block_pcg_solve, CgResult};
 use hicond_precond::{LaplacianSolver, MultilevelSteiner, SolverOptions};
 use rayon::pool::{set_sched_jitter, with_thread_cap};
 
@@ -74,8 +73,7 @@ fn block_pcg_matches_solo_solves_through_the_multilevel_stack() {
         record_residuals: true,
     };
     let cols = rhs_columns(a.nrows(), 5);
-    let block = DenseBlock::from_columns(&cols);
-    let results = block_pcg_solve(&a, &m, &block, &opts);
+    let results = block_pcg_solve(&a, &m, &cols, &opts);
     assert_eq!(results.len(), 5);
     for (j, col) in cols.iter().enumerate() {
         let solo = pcg_solve(&a, &m, col, &opts);
@@ -105,16 +103,15 @@ fn block_pcg_bitwise_invariant_across_caps_and_jitter() {
         record_residuals: false,
     };
     let cols = rhs_columns(a.nrows(), 4);
-    let block = DenseBlock::from_columns(&cols);
     let reference = with_thread_cap(1, || {
         set_sched_jitter(None);
-        result_key(&block_pcg_solve(&a, &m, &block, &opts))
+        result_key(&block_pcg_solve(&a, &m, &cols, &opts))
     });
     for cap in CAPS {
         for seed in JITTER_SEEDS {
             let got = with_thread_cap(cap, || {
                 set_sched_jitter(seed);
-                let r = result_key(&block_pcg_solve(&a, &m, &block, &opts));
+                let r = result_key(&block_pcg_solve(&a, &m, &cols, &opts));
                 set_sched_jitter(None);
                 r
             });
@@ -205,7 +202,7 @@ fn masking_freezes_mixed_difficulty_columns_independently() {
     let hard = rhs_columns(n, 1).remove(0);
     let zero = vec![0.0; n];
     let cols = vec![easy.clone(), hard.clone(), zero.clone()];
-    let results = block_pcg_solve(&a, &m, &DenseBlock::from_columns(&cols), &opts);
+    let results = block_pcg_solve(&a, &m, &cols, &opts);
     for (j, col) in [easy, hard.clone()].iter().enumerate() {
         let solo = pcg_solve(&a, &m, col, &opts);
         assert_eq!(bits(&results[j].x), bits(&solo.x), "column {j}");
@@ -215,7 +212,7 @@ fn masking_freezes_mixed_difficulty_columns_independently() {
     assert_eq!(results[2].iterations, 0, "zero rhs at iteration 0");
     assert!(results[2].x.iter().all(|&v| v == 0.0));
     // k=1 control: a one-column block is exactly the solo solver.
-    let one = block_pcg_solve(&a, &m, &DenseBlock::from_columns(&[hard.clone()]), &opts);
+    let one = block_pcg_solve(&a, &m, std::slice::from_ref(&hard), &opts);
     let solo = pcg_solve(&a, &m, &hard, &opts);
     assert_eq!(bits(&one[0].x), bits(&solo.x), "k=1 block == solo");
 }
@@ -227,12 +224,7 @@ fn all_columns_converged_at_iteration_zero() {
     let m = MultilevelSteiner::new(&g, &Default::default());
     let n = a.nrows();
     let zeros = vec![vec![0.0; n]; 3];
-    let results = block_pcg_solve(
-        &a,
-        &m,
-        &DenseBlock::from_columns(&zeros),
-        &CgOptions::default(),
-    );
+    let results = block_pcg_solve(&a, &m, &zeros, &CgOptions::default());
     for (j, r) in results.iter().enumerate() {
         assert!(r.converged, "column {j}");
         assert_eq!(r.iterations, 0, "column {j} never iterated");
