@@ -94,29 +94,38 @@ pub fn timed_median_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
 /// slow drift (VM frequency scaling, cache state, CPU steal) into the
 /// variant difference; alternating invocations expose both variants to the
 /// same drift. Both closures run once untimed first to warm their paths.
-pub fn timed_median_pair_ns(
+pub fn timed_median_pair_ns(reps: usize, run_a: impl FnMut(), run_b: impl FnMut()) -> (u64, u64) {
+    let pairs = timed_pairs_ns(reps, run_a, run_b);
+    let mut ta: Vec<u64> = pairs.iter().map(|p| p.0).collect();
+    let mut tb: Vec<u64> = pairs.iter().map(|p| p.1).collect();
+    ta.sort_unstable();
+    tb.sort_unstable();
+    (ta[ta.len() / 2], tb[tb.len() / 2])
+}
+
+/// The rounds behind [`timed_median_pair_ns`]: `max(reps, 1)` interleaved
+/// `(a_ns, b_ns)` timings, in round order, after one untimed warm-up of
+/// each closure. A statistic over per-round ratios cancels drift slower
+/// than one round, which two separate medians do not.
+pub fn timed_pairs_ns(
     reps: usize,
     mut run_a: impl FnMut(),
     mut run_b: impl FnMut(),
-) -> (u64, u64) {
-    let reps = reps.max(1);
+) -> Vec<(u64, u64)> {
     run_a();
     run_b();
-    let mut ta = Vec::with_capacity(reps);
-    let mut tb = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        // audit: allow(instant-now) — the bench harness measures wall time itself
-        let t = Instant::now();
-        run_a();
-        ta.push(t.elapsed().as_nanos() as u64);
-        // audit: allow(instant-now) — the bench harness measures wall time itself
-        let t = Instant::now();
-        run_b();
-        tb.push(t.elapsed().as_nanos() as u64);
-    }
-    ta.sort_unstable();
-    tb.sort_unstable();
-    (ta[reps / 2], tb[reps / 2])
+    (0..reps.max(1))
+        .map(|_| {
+            // audit: allow(instant-now) — the bench harness measures wall time itself
+            let t = Instant::now();
+            run_a();
+            let a = t.elapsed().as_nanos() as u64;
+            // audit: allow(instant-now) — the bench harness measures wall time itself
+            let t = Instant::now();
+            run_b();
+            (a, t.elapsed().as_nanos() as u64)
+        })
+        .collect()
 }
 
 /// One measurement row of the machine-readable benchmark trajectory

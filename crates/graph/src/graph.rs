@@ -46,12 +46,6 @@ impl Graph {
         b.build()
     }
 
-    /// Builds with unit weights.
-    pub fn from_unweighted_edges(n: usize, list: &[(usize, usize)]) -> Self {
-        let weighted: Vec<(usize, usize, f64)> = list.iter().map(|&(u, v)| (u, v, 1.0)).collect();
-        Self::from_edges(n, &weighted)
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.n
@@ -144,15 +138,6 @@ impl Graph {
             }
         }
         best
-    }
-
-    /// Parallel map over vertices.
-    pub fn par_vertex_map<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync + Send,
-    {
-        (0..self.n).into_par_iter().map(f).collect()
     }
 
     /// Induced subgraph on `keep` (need not be sorted; duplicates rejected).

@@ -4,8 +4,8 @@
 //! The paper's economic argument — pay for one `[φ, ρ]` decomposition, then
 //! amortize it across a *stream* of solves — makes a batch of k
 //! right-hand sides the unit of serve work. The columns of a batch are
-//! independent, so a batch is k solo solves ([`crate::cg::pcg_solve`]'s
-//! engine, one column each) fanned over the thread pool: the gain of
+//! independent, so a batch is k solo solves ([`crate::cg::pcg_solve`],
+//! one per column) fanned over the thread pool: the gain of
 //! batching is whole columns running on different threads.
 //!
 //! # Column fan-out
@@ -27,7 +27,7 @@
 //! depends only on the vector length, whichever group (and thread) runs
 //! it. `tests/block_pcg.rs` holds the batch to this.
 
-use crate::cg::{pcg_engine, CgOptions, CgResult, Preconditioner};
+use crate::cg::{pcg_solve, CgOptions, CgResult, Preconditioner};
 use crate::ops::LinearOperator;
 use rayon::prelude::*;
 
@@ -36,11 +36,10 @@ use rayon::prelude::*;
 ///
 /// The columns are cut into `g = min(k, current_num_threads())` contiguous
 /// groups, run in one pool dispatch (see the module docs); g = 1 runs the
-/// columns in order on the calling thread. Each column is one run of the
-/// solo engine, so its outputs (`x`, `iterations`, `converged`,
-/// `final_rel_residual`, `residual_history`) and telemetry are those of
-/// [`crate::cg::pcg_solve`] on it, except that only the first column
-/// records the `cg/residual` trace.
+/// columns in order on the calling thread. Each column is one
+/// [`crate::cg::pcg_solve`], so its outputs (`x`, `iterations`,
+/// `converged`, `final_rel_residual`, `residual_history`) and telemetry
+/// are those of a solo solve.
 ///
 /// # Panics
 ///
@@ -54,7 +53,7 @@ where
 {
     let k = b.len();
     let groups = k.min(rayon::current_num_threads());
-    let solve = |j: usize| pcg_engine(a, m, b[j].as_ref(), opts, j == 0);
+    let solve = |j: usize| pcg_solve(a, m, b[j].as_ref(), opts);
     if groups <= 1 {
         return (0..k).map(solve).collect();
     }

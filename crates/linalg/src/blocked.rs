@@ -95,11 +95,6 @@ impl BlockIndex {
         })
     }
 
-    /// Number of row bands.
-    pub fn nbands(&self) -> usize {
-        self.nnz_start.len()
-    }
-
     /// Start of band `b`'s entries inside `local_ptr` (each band owns
     /// `rows_in_band + 1` entries).
     #[inline]
@@ -186,9 +181,6 @@ impl BlockIndex {
         parallel: bool,
     ) {
         assert_eq!(y.len(), self.nrows, "blocked mul: y length");
-        if hicond_obs::enabled() {
-            hicond_obs::counter_add("spmv/blocks", self.nbands() as u64);
-        }
         if parallel {
             y.par_chunks_mut(BAND_ROWS)
                 .enumerate()
@@ -241,11 +233,11 @@ mod tests {
     fn band_geometry() {
         let a = banded(2 * BAND_ROWS + 100, 2);
         let bi = BlockIndex::build(a.nrows(), a.row_ptr()).unwrap();
-        assert_eq!(bi.nbands(), 3);
+        assert_eq!(bi.nnz_start.len(), 3);
         // Empty matrix: zero bands, still valid.
         let z = crate::csr::CsrMatrix::zeros(0, 0);
         let bz = BlockIndex::build(0, z.row_ptr()).unwrap();
-        assert_eq!(bz.nbands(), 0);
+        assert_eq!(bz.nnz_start.len(), 0);
         let mut y: Vec<f64> = vec![];
         bz.mul_into(z.col_idx(), z.values(), &[], &mut y, false);
     }

@@ -144,6 +144,13 @@ pub fn cg_solve<A: LinearOperator>(a: &A, b: &[f64], opts: &CgOptions) -> CgResu
     pcg_solve(a, &IdentityPreconditioner(a.dim()), b, opts)
 }
 
+/// Interned flight-recorder name for residual-decade milestones, resolved
+/// once per process so the hot loop never touches the intern mutex.
+fn residual_milestone_id() -> u32 {
+    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
+    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
+}
+
 /// Preconditioned conjugate gradients for `A x = b`, starting from `x = 0`.
 ///
 /// `m` must be symmetric positive definite on the relevant subspace; the
@@ -164,9 +171,11 @@ pub fn cg_solve<A: LinearOperator>(a: &A, b: &[f64], opts: &CgOptions) -> CgResu
 /// # Telemetry
 ///
 /// Observe-only, so on/off runs are bitwise identical: a `pcg` span, the
-/// `cg/solves` and `cg/iterations` counters, the `cg/residual` trace, a
-/// convergence watchdog, and a flight milestone each time the relative
-/// residual crosses a decade.
+/// `cg/solves`, `cg/scratch_bytes` and `cg/iterations` counters, the
+/// `cg/iterations_per_solve` histogram, the `cg/final_rel_residual` gauge,
+/// a convergence watchdog, and a flight milestone each time the relative
+/// residual crosses a decade. Counters are recorded once per solve, so
+/// an iteration adds only what the preconditioner itself records.
 ///
 /// # Panics
 ///
@@ -176,26 +185,6 @@ pub fn pcg_solve<A: LinearOperator, M: Preconditioner>(
     m: &M,
     b: &[f64],
     opts: &CgOptions,
-) -> CgResult {
-    pcg_engine(a, m, b, opts, true)
-}
-
-/// Interned flight-recorder name for residual-decade milestones, resolved
-/// once per process so the hot loop never touches the intern mutex.
-fn residual_milestone_id() -> u32 {
-    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
-}
-
-/// The PCG loop behind [`pcg_solve`]. `trace_residual` selects whether
-/// this solve owns the `cg/residual` trace: a batch hands it to its first
-/// column only, so concurrent solves never interleave points in it.
-pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
-    a: &A,
-    m: &M,
-    b: &[f64],
-    opts: &CgOptions,
-    trace_residual: bool,
 ) -> CgResult {
     let n = a.dim();
     assert_eq!(b.len(), n, "pcg: rhs length");
@@ -207,11 +196,6 @@ pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
     if obs_on {
         hicond_obs::counter_add("cg/solves", 1);
         hicond_obs::counter_add("cg/scratch_bytes", 8 * (5 * n + scratch_len(n)) as u64);
-        if trace_residual {
-            // Reserve the whole series so per-iteration pushes never
-            // allocate.
-            hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
-        }
     }
     let bnorm = norm2(b);
     let mut x = vec![0.0; n];
@@ -243,9 +227,6 @@ pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
         history.reserve(opts.max_iter + 2);
         history.push(norm2(&r));
     }
-    if obs_on && trace_residual {
-        hicond_obs::trace_push("cg/residual", norm2(&r));
-    }
     let mut iterations = 0;
     let mut converged = false;
     while iterations < opts.max_iter {
@@ -264,9 +245,6 @@ pub(crate) fn pcg_engine<A: LinearOperator, M: Preconditioner>(
             history.push(rnorm);
         }
         if obs_on {
-            if trace_residual {
-                hicond_obs::trace_push("cg/residual", rnorm);
-            }
             let rel = rnorm / bnorm;
             if let Some(w) = watchdog.as_mut() {
                 w.observe(iterations as u64, rel);

@@ -117,16 +117,20 @@ mod tests {
         enforce(Ok(()));
     }
 
+    fn violation() -> InvariantViolation {
+        InvariantViolation::new("hicond-linalg", "CsrMatrix", "rule", "boom", vec![])
+    }
+
     #[test]
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
     #[should_panic(expected = "invariant violation")]
     fn enforce_err_panics_in_debug() {
-        // Test profiles have debug_assertions on, so enforcement is active.
-        enforce(Err(InvariantViolation::new(
-            "hicond-linalg",
-            "CsrMatrix",
-            "rule",
-            "boom",
-            vec![],
-        )));
+        enforce(Err(violation()));
+    }
+
+    #[test]
+    #[cfg(not(any(debug_assertions, feature = "check-invariants")))]
+    fn enforce_err_returns_when_checks_are_compiled_out() {
+        enforce(Err(violation()));
     }
 }

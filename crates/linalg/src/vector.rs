@@ -403,25 +403,6 @@ pub fn deflate_constant(x: &mut [f64]) {
     }
 }
 
-/// Subtracts from `x` its component along the *weighted* constant direction
-/// `d^{1/2}` (with `dsqrt[i] = sqrt(d_i)`), the kernel direction of a
-/// normalized Laplacian `D^{-1/2} A D^{-1/2}`.
-///
-/// # Panics
-///
-/// Panics if `x` and `dsqrt` lengths disagree.
-pub fn deflate_weighted_constant(x: &mut [f64], dsqrt: &[f64]) {
-    assert_eq!(x.len(), dsqrt.len());
-    let denom = dot(dsqrt, dsqrt);
-    if denom == 0.0 {
-        return;
-    }
-    let coeff = dot(x, dsqrt) / denom;
-    for (xi, di) in x.iter_mut().zip(dsqrt) {
-        *xi -= coeff * di;
-    }
-}
-
 /// Normalizes `x` to unit Euclidean norm; returns the prior norm.
 /// Leaves a zero vector untouched and returns 0.
 pub fn normalize(x: &mut [f64]) -> f64 {
@@ -477,14 +458,6 @@ mod tests {
         let mut x = vec![1.0, 2.0, 3.0];
         deflate_constant(&mut x);
         assert!((x.iter().sum::<f64>()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_deflation_orthogonal() {
-        let dsqrt = vec![1.0, 2.0, 3.0];
-        let mut x = vec![5.0, -1.0, 2.0];
-        deflate_weighted_constant(&mut x, &dsqrt);
-        assert!(dot(&x, &dsqrt).abs() < 1e-12);
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct Snapshot {
     pub gauges: Vec<(String, f64)>,
     pub timers: Vec<(String, TimerStat)>,
     pub histograms: Vec<(String, HistStat)>,
-    /// `(name, points, dropped)` — points beyond the cap are counted.
-    pub traces: Vec<(String, Vec<f64>, u64)>,
 }
 
 fn fmt_duration_ns(ns: u64) -> String {
@@ -91,21 +89,6 @@ pub fn render_text(snap: &Snapshot) -> String {
             }
         }
     }
-    if !snap.traces.is_empty() {
-        let _ = writeln!(out, "traces:");
-        for (name, points, dropped) in &snap.traces {
-            let _ = writeln!(
-                out,
-                "  {name}  {} point(s){}",
-                points.len(),
-                if *dropped > 0 {
-                    format!(" (+{dropped} dropped)")
-                } else {
-                    String::new()
-                }
-            );
-        }
-    }
     out
 }
 
@@ -160,9 +143,7 @@ fn json_num_counted(x: f64, dropped: &mut u64) -> String {
 /// idle scrape is near-empty. Gauges are last-value semantics: the
 /// current value is passed through only when it changed bitwise.
 /// `max_ns` on timers is the current cumulative max (a max cannot be
-/// windowed without storing per-window state). Traces are omitted from
-/// deltas — they are cumulative series, exported in the final report;
-/// live series come from the flight recorder instead.
+/// windowed without storing per-window state).
 pub fn delta_snapshot(prev: &Snapshot, cur: &Snapshot) -> Snapshot {
     fn lookup<'a, T>(v: &'a [(String, T)], name: &str) -> Option<&'a T> {
         v.iter().find(|(n, _)| n == name).map(|(_, t)| t)
@@ -238,14 +219,13 @@ pub fn delta_snapshot(prev: &Snapshot, cur: &Snapshot) -> Snapshot {
         gauges,
         timers,
         histograms,
-        traces: Vec::new(),
     }
 }
 
 /// Renders a snapshot as machine-readable JSON (`HICOND_OBS=json`).
 /// Always a single valid JSON object; validated by [`crate::json`] in
-/// tests and the bench harness. Non-finite gauges, means, and trace
-/// points serialize as `null` and are tallied in the top-level
+/// tests and the bench harness. Non-finite gauges and histogram means
+/// serialize as `null` and are tallied in the top-level
 /// `"non_finite_dropped"` field so consumers can tell "no data" from
 /// "data we could not represent".
 pub fn render_json(snap: &Snapshot) -> String {
@@ -323,26 +303,6 @@ pub fn render_json(snap: &Snapshot) -> String {
     }
     out.push('}');
 
-    let _ = write!(out, ",\"traces\":{{");
-    for (i, (name, points, trace_dropped)) in snap.traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"dropped\":{trace_dropped},\"points\":[",
-            escape_json(name)
-        );
-        for (j, p) in points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_num_counted(*p, &mut dropped));
-        }
-        out.push_str("]}");
-    }
-    out.push('}');
-
     let _ = write!(out, ",\"non_finite_dropped\":{dropped}");
     out.push('}');
     out
@@ -381,7 +341,6 @@ mod tests {
                 ),
             ],
             histograms: vec![("phi".into(), h)],
-            traces: vec![("cg/residual".into(), vec![1.0, 0.5, 0.25], 0)],
         }
     }
 
@@ -403,7 +362,7 @@ mod tests {
             txt.contains("\n    pcg "),
             "child span indented under parent:\n{txt}"
         );
-        assert!(txt.contains("cg/residual"));
+        assert!(txt.contains("cg/iterations = 12"));
     }
 
     #[test]
@@ -415,8 +374,8 @@ mod tests {
 
     #[test]
     fn non_finite_values_become_null_and_are_counted() {
-        // Satellite regression: NaN/±inf in gauges, histogram means and
-        // trace points must degrade to null (valid JSON) AND be tallied.
+        // NaN/±inf in gauges and histogram means must degrade to null
+        // (valid JSON) AND be tallied.
         let snap = Snapshot {
             counters: vec![],
             gauges: vec![
@@ -434,7 +393,6 @@ mod tests {
                     buckets: vec![0; crate::NUM_BUCKETS],
                 },
             )],
-            traces: vec![("t".into(), vec![1.0, f64::INFINITY, 3.0], 0)],
         };
         let js = render_json(&snap);
         crate::json::validate(&js).expect("non-finite snapshot must stay valid JSON");
@@ -443,9 +401,8 @@ mod tests {
         assert!(js.contains("\"ninf\":null"));
         assert!(js.contains("\"fine\":1.25"));
         assert!(js.contains("\"mean\":null"));
-        assert!(js.contains("[1,null,3]"));
-        // 3 gauges + 1 mean + 1 trace point.
-        assert!(js.contains("\"non_finite_dropped\":5"), "{js}");
+        // 3 gauges + 1 mean.
+        assert!(js.contains("\"non_finite_dropped\":4"), "{js}");
     }
 
     #[test]
@@ -482,7 +439,6 @@ mod tests {
         assert_eq!(h.buckets[crate::bucket_index(4.0)], 1);
         assert_eq!(h.buckets[crate::bucket_index(1.0)], 0);
         assert!((h.mean - 4.0).abs() < 1e-9, "window mean, not cumulative");
-        assert!(d.traces.is_empty(), "traces never appear in deltas");
 
         // Identical snapshots produce an empty delta.
         let empty = delta_snapshot(&cur, &cur);

@@ -11,8 +11,8 @@
 //! signals without perturbing the numerics:
 //!
 //! * a global [`Registry`] of **counters** (monotone `u64`), **gauges**
-//!   (last-written `f64`), log₂-bucketed **histograms**, RAII **span**
-//!   timers, and bounded f64 **traces** (e.g. PCG residual decay);
+//!   (last-written `f64`), log₂-bucketed **histograms** and RAII **span**
+//!   timers;
 //! * [`span`]/[`span!`] RAII scopes with parent/child nesting: a span
 //!   opened while another span is live on the same thread records under
 //!   the '/'-joined path (`"solve/pcg/precond_apply"`);
@@ -29,7 +29,7 @@
 //! is guarded by [`enabled`], a single `Relaxed` atomic load — when
 //! disabled, instrumented code pays one predictable branch and touches no
 //! clocks, locks, or allocations. When enabled, recording writes atomics
-//! and (for spans/traces) takes a short registry mutex; crucially, no
+//! and (for instrument lookups) takes a short registry mutex; crucially, no
 //! recorded value ever feeds back into the numeric computation, so
 //! `HICOND_OBS=off` and `HICOND_OBS=json` produce **bitwise-identical**
 //! results at any thread cap (`tests/determinism.rs`).
@@ -182,26 +182,6 @@ pub fn gauge_set(name: &str, v: f64) {
 pub fn hist_record(name: &str, x: f64) {
     if enabled() {
         global().histogram(name).record(x);
-    }
-}
-
-/// Clears the named trace (start of a fresh series; no-op when
-/// disabled), reserving room for `capacity` points (clamped to
-/// [`registry::TRACE_CAP`]) so the pushes that follow stay off the
-/// allocator when the caller can bound the series length.
-#[inline]
-pub fn trace_start(name: &str, capacity: usize) {
-    if enabled() {
-        global().trace_start(name, capacity);
-    }
-}
-
-/// Appends `x` to the named trace (no-op when disabled). Traces are
-/// bounded ([`registry::TRACE_CAP`]); overflow is counted, not stored.
-#[inline]
-pub fn trace_push(name: &str, x: f64) {
-    if enabled() {
-        global().trace_push(name, x);
     }
 }
 

@@ -13,10 +13,6 @@ use crate::sync::{AtomicU64, Mutex, Ordering};
 
 use crate::histogram::Histogram;
 
-/// Maximum retained points per trace; further pushes are counted in
-/// `dropped` but not stored (bounds memory on long runs).
-pub const TRACE_CAP: usize = 65_536;
-
 /// Monotone counter.
 ///
 /// ordering: all accesses are `Relaxed` — counter-role RMWs in the
@@ -74,19 +70,12 @@ pub struct TimerStat {
     pub max_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct Trace {
-    points: Vec<f64>,
-    dropped: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Arc<Histogram>>,
     timers: BTreeMap<String, Arc<Timer>>,
-    traces: BTreeMap<String, Trace>,
 }
 
 /// A metric registry. The process-wide instance is [`global`]; tests can
@@ -154,41 +143,6 @@ impl Registry {
         }
     }
 
-    /// Clears the named trace, starting a fresh series with room for
-    /// `capacity` points (clamped to [`TRACE_CAP`]). Reserving up front
-    /// keeps [`Self::trace_push`] allocation-free for series whose
-    /// length the caller can bound — PCG passes `max_iter + 1` so its
-    /// per-iteration residual pushes never touch the allocator.
-    pub fn trace_start(&self, name: &str, capacity: usize) {
-        let mut inner = self.lock();
-        let t = inner.traces.entry(name.to_string()).or_default();
-        t.points.clear();
-        t.dropped = 0;
-        // reserve() is a no-op when existing capacity already suffices.
-        t.points.reserve(capacity.min(TRACE_CAP));
-    }
-
-    /// Appends a point to the named trace (bounded by [`TRACE_CAP`]).
-    /// The fast path (an existing series) borrows the name, so a series
-    /// started with enough reserved capacity records without allocating.
-    pub fn trace_push(&self, name: &str, x: f64) {
-        let mut inner = self.lock();
-        if let Some(t) = inner.traces.get_mut(name) {
-            if t.points.len() < TRACE_CAP {
-                t.points.push(x);
-            } else {
-                t.dropped += 1;
-            }
-            return;
-        }
-        inner
-            .traces
-            .entry(name.to_string())
-            .or_default()
-            .points
-            .push(x);
-    }
-
     /// Copies the current state into a [`crate::Snapshot`].
     pub fn snapshot(&self) -> crate::Snapshot {
         let inner = self.lock();
@@ -217,11 +171,6 @@ impl Registry {
                         },
                     )
                 })
-                .collect(),
-            traces: inner
-                .traces
-                .iter()
-                .map(|(k, t)| (k.clone(), t.points.clone(), t.dropped))
                 .collect(),
         }
     }
@@ -273,19 +222,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(r.counter("shared").get(), 400_000);
-    }
-
-    #[test]
-    fn trace_is_bounded_and_restartable() {
-        let r = Registry::new();
-        r.trace_push("t", 1.0);
-        r.trace_push("t", 2.0);
-        let snap = r.snapshot();
-        assert_eq!(snap.traces[0].1, vec![1.0, 2.0]);
-        r.trace_start("t", 8);
-        r.trace_push("t", 9.0);
-        let snap = r.snapshot();
-        assert_eq!(snap.traces[0].1, vec![9.0]);
     }
 
     #[test]

@@ -441,7 +441,6 @@ impl MultilevelSteiner {
     /// `partials`, also returns `rᵀz`.
     fn walk(&self, r: &[f64], z: &mut [f64], partials: Option<&mut [f64]>) -> Option<f64> {
         let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", 1);
         // Check a workspace out of the free list instead of holding the
         // lock across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly

@@ -168,7 +168,6 @@ impl LaplacianSolver {
     /// and zero-mean normalization, and the columns do not interact.
     pub fn solve_block(&self, bs: &[Vec<f64>]) -> Vec<Result<Solution, SolveError>> {
         let _span = hicond_obs::span("solve_block");
-        hicond_obs::counter_add("solver/block_solves", 1);
         self.solve_columns(bs, false)
             .into_iter()
             .map(|r| r.map(|(sol, _)| sol))

@@ -32,12 +32,17 @@ cargo build --release --offline --workspace
 step "cargo test --offline"
 cargo test --offline --workspace -q
 
+step "cargo test --release --offline (the profile the service ships with)"
+# The bitwise and allocation gates must also hold with optimizations on
+# and debug assertions (and with them the invariant checks) compiled out.
+cargo test --release --offline --workspace -q
+
 step "cargo test --offline (HICOND_THREADS=4, parallel engine path)"
 HICOND_THREADS=4 cargo test --offline --workspace -q
 
 step "cargo test --offline (HICOND_THREADS=4, observability recording on)"
 # With telemetry on, the allocation gates also cover the engine's and the
-# walk's recording paths (spans, counters, the residual trace).
+# walk's recording paths (spans, counters, residual milestones).
 HICOND_THREADS=4 HICOND_OBS=json cargo test --offline --workspace -q
 
 step "schedule-perturbation stress (HICOND_THREADS=4, seeded jitter)"

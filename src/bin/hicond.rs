@@ -260,36 +260,26 @@ fn cmd_serve(path: &str, args: &[String]) -> Result<(), String> {
     if let Some(addr) = arg_value(args, "--listen") {
         return serve_listen(&addr, solver, n, args);
     }
-    let max_line = hicond::serve::max_line_bytes(n);
+    let cfg = hicond::serve::ServeConfig {
+        n,
+        max_line: hicond::serve::max_line_bytes(n),
+        // stdin has no read deadline; only the TCP front end sets one.
+        read_timeout: std::time::Duration::ZERO,
+    };
+    let stats = hicond::serve::ServeStats::new();
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    let mut input = stdin.lock();
-    let mut out = stdout.lock();
-    let mut served = 0u64;
-    let stats = hicond::serve::ServeStats::new();
-    loop {
-        let line = match hicond::serve::read_bounded_line(&mut input, max_line) {
-            hicond::serve::LineEvent::Line(line) => line,
-            hicond::serve::LineEvent::Eof => break,
-            hicond::serve::LineEvent::TooLong { limit } => {
-                let reply = format!("ERR bad-length: request line exceeds {limit} bytes");
-                hicond::serve::write_reply(&mut out, &reply).map_err(|e| format!("stdout: {e}"))?;
-                served += 1;
-                continue;
-            }
-            // stdin has no read deadline; TimedOut cannot happen here.
-            hicond::serve::LineEvent::TimedOut => break,
-            hicond::serve::LineEvent::Err(e) => return Err(format!("stdin: {e}")),
-        };
-        let reply = match hicond::serve::respond(&solver, n, &line, &stats) {
-            hicond::serve::Action::Reply(r) => r,
-            hicond::serve::Action::Ignore => continue,
-            hicond::serve::Action::Quit => break,
-        };
-        hicond::serve::write_reply(&mut out, &reply).map_err(|e| format!("stdout: {e}"))?;
-        served += 1;
+    let end = hicond::serve::serve_session(
+        &mut stdin.lock(),
+        &mut stdout.lock(),
+        &cfg,
+        &stats,
+        |line| hicond::serve::respond(&solver, n, line, &stats),
+    );
+    if let Some(e) = end.error {
+        return Err(format!("serve session: {e}"));
     }
-    eprintln!("served {served} requests");
+    eprintln!("served {} requests", end.replies);
     Ok(())
 }
 

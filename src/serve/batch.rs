@@ -391,7 +391,6 @@ impl BatchQueue {
     fn solve_batch(&self, batch: Vec<Pending>, solver: &LaplacianSolver, stats: &ServeStats) {
         let k = batch.len();
         stats.record_batch(k as u64);
-        hicond_obs::counter_add("serve/batches", 1);
         let mut rhss: Vec<Vec<f64>> = Vec::with_capacity(k);
         let mut traces = Vec::with_capacity(k);
         let mut txs = Vec::with_capacity(k);

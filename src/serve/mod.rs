@@ -55,15 +55,16 @@
 //!   `HICOND_SERVE_BATCH`, time window `HICOND_SERVE_BATCH_WINDOW_MS`,
 //!   admission cap `HICOND_SERVE_MAX_INFLIGHT`)
 //! - [`server`]: the byte-level transports — a bounded line reader
-//!   (max-line + idle-timeout guard, shared by stdin and TCP) and the
-//!   thread-per-connection TCP front end
+//!   (max-line + idle-timeout guard) and the session loop, both shared by
+//!   stdin and TCP, and the thread-per-connection TCP front end
 
 pub mod batch;
 pub mod server;
 
 pub use batch::{BatchConfig, BatchQueue, SubmitError};
 pub use server::{
-    max_line_bytes, read_bounded_line, serve_tcp, write_reply, LineEvent, ServeConfig,
+    max_line_bytes, read_bounded_line, serve_session, serve_tcp, write_reply, LineEvent,
+    ServeConfig, SessionEnd,
 };
 
 use hicond_precond::{LaplacianSolver, Solution, SolveError};

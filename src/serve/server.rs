@@ -1,6 +1,6 @@
 //! Byte-level transports for the serve protocol: a bounded line reader
-//! shared by the stdin and TCP paths, and the thread-per-connection TCP
-//! front end.
+//! and the session loop, shared by the stdin and TCP paths, and the
+//! thread-per-connection TCP front end.
 //!
 //! The reader is the first thing untrusted bytes touch, so it is a
 //! declared `xtask reach` entry point: it must never panic and never
@@ -130,14 +130,16 @@ fn finish_line(mut buf: Vec<u8>) -> String {
     String::from_utf8_lossy(&buf).into_owned()
 }
 
-/// Everything a connection handler needs, shared across the server.
+/// Everything a session needs, shared across the server.
 pub struct ServeConfig {
     /// Solver dimension (trusted; from the operator's graph).
     pub n: usize,
     /// Request-line byte limit (see [`max_line_bytes`]).
     pub max_line: usize,
-    /// Per-connection idle read deadline; an exceeded deadline closes
-    /// the connection with `ERR timeout`.
+    /// Idle read deadline: the TCP front end sets it on every
+    /// connection, and an exceeded deadline closes the connection with
+    /// `ERR timeout`. A transport without a deadline (stdin) never times
+    /// out, whatever this says.
     pub read_timeout: Duration,
 }
 
@@ -224,8 +226,9 @@ pub fn serve_tcp(
     })
 }
 
-/// One connection's session loop: bounded reads, batched responds,
-/// structured errors. Returns the number of reply lines written.
+/// One TCP connection: the shared session loop over the socket, with
+/// solves routed through the batch queue. Returns the number of reply
+/// lines written.
 fn handle_connection(
     stream: TcpStream,
     queue: &Arc<BatchQueue>,
@@ -240,11 +243,45 @@ fn handle_connection(
         Err(_) => return 0,
     };
     let mut reader = BufReader::new(stream);
-    let mut served = 0u64;
-    loop {
-        let action = match read_bounded_line(&mut reader, cfg.max_line) {
-            LineEvent::Line(line) => respond_batched(queue, cfg.n, &line, stats),
-            LineEvent::Eof | LineEvent::Err(_) => break,
+    // A transport error only means the peer went away; nothing is left
+    // to answer.
+    serve_session(&mut reader, &mut writer, cfg, stats, |line| {
+        respond_batched(queue, cfg.n, line, stats)
+    })
+    .replies
+}
+
+/// How a [`serve_session`] ended.
+#[derive(Debug)]
+pub struct SessionEnd {
+    /// Reply lines written.
+    pub replies: u64,
+    /// The read or write error that ended the session; `None` after
+    /// `quit`, end of input or an idle timeout.
+    pub error: Option<String>,
+}
+
+/// One serve session over any line transport (stdin/stdout, a socket):
+/// bounded reads, one reply line per request, structured errors.
+/// `respond` answers one request line — [`super::respond`] or
+/// [`super::respond_batched`] bound to its solver or queue. A line over
+/// `cfg.max_line` bytes is answered `ERR bad-length` and counted like any
+/// bad request (`errors=` in `stats`, `serve/bad_request`). A read that
+/// times out is answered `ERR timeout` and ends the session, so an idle
+/// peer cannot pin a thread (or its batch-queue admission) forever.
+pub fn serve_session(
+    reader: &mut impl BufRead,
+    writer: &mut impl Write,
+    cfg: &ServeConfig,
+    stats: &ServeStats,
+    mut respond: impl FnMut(&str) -> Action,
+) -> SessionEnd {
+    let mut replies = 0u64;
+    let error = loop {
+        let action = match read_bounded_line(reader, cfg.max_line) {
+            LineEvent::Line(line) => respond(&line),
+            LineEvent::Eof => break None,
+            LineEvent::Err(e) => break Some(format!("read: {e}")),
             LineEvent::TooLong { limit } => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
                 hicond_obs::counter_add("serve/bad_request", 1);
@@ -253,31 +290,28 @@ fn handle_connection(
                 ))
             }
             LineEvent::TimedOut => {
-                // Structured goodbye, then close: an idle peer must not
-                // pin a thread (or its batch-queue admission) forever.
                 hicond_obs::counter_add("serve/idle_timeout", 1);
-                let _ = write_reply(
-                    &mut writer,
-                    &format!(
-                        "ERR timeout: idle for {:.0}s, closing connection",
-                        cfg.read_timeout.as_secs_f64()
-                    ),
+                let reply = format!(
+                    "ERR timeout: idle for {:.0}s, closing connection",
+                    cfg.read_timeout.as_secs_f64()
                 );
-                break;
+                break write_reply(writer, &reply)
+                    .err()
+                    .map(|e| format!("write: {e}"));
             }
         };
         match action {
             Action::Reply(reply) => {
-                if write_reply(&mut writer, &reply).is_err() {
-                    break; // peer went away; nothing left to do
+                if let Err(e) = write_reply(writer, &reply) {
+                    break Some(format!("write: {e}"));
                 }
-                served += 1;
+                replies += 1;
             }
             Action::Ignore => {}
-            Action::Quit => break,
+            Action::Quit => break None,
         }
-    }
-    served
+    };
+    SessionEnd { replies, error }
 }
 
 /// Writes one protocol line (`reply` plus `\n`) in a single write and
@@ -400,6 +434,38 @@ mod tests {
         write_reply(&mut w, "ERR busy: retry later").unwrap();
         assert_eq!(w.writes, 2, "one write per reply line");
         assert_eq!(w.bytes, b"ok stats requests=0\nERR busy: retry later\n");
+    }
+
+    #[test]
+    fn session_counts_an_overlong_line_as_an_error() {
+        let g = hicond_graph::generators::path(4, |_| 1.0);
+        let solver =
+            hicond_precond::LaplacianSolver::new(&g, &hicond_precond::SolverOptions::default());
+        let cfg = ServeConfig {
+            n: 4,
+            max_line: 16,
+            read_timeout: Duration::ZERO,
+        };
+        let stats = ServeStats::new();
+        let mut input = vec![b'1'; 100];
+        input.extend_from_slice(b"\n\nstats\nquit\nstats\n");
+        let mut out = Vec::new();
+        let end = serve_session(&mut Cursor::new(input), &mut out, &cfg, &stats, |line| {
+            crate::serve::respond(&solver, cfg.n, line, &stats)
+        });
+        assert!(end.error.is_none(), "{:?}", end.error);
+        assert_eq!(
+            end.replies, 2,
+            "blank line ignored, nothing read after quit"
+        );
+        let out = String::from_utf8(out).expect("replies are UTF-8");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[0], "ERR bad-length: request line exceeds 16 bytes");
+        assert!(
+            lines[1].starts_with("ok stats requests=0 errors=1 "),
+            "reply: {}",
+            lines[1]
+        );
     }
 
     #[test]

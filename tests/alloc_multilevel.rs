@@ -168,10 +168,6 @@ fn concurrent_walks_on_one_solver_are_allocation_free() {
     // the minimum is the steady state, which a per-apply allocation would
     // still raise with the iteration count.
     let counts = |iters: usize| {
-        // Concurrent solves share the one `cg/residual` series (when
-        // telemetry records); room for both keeps its pushes off the
-        // allocator whatever the interleaving.
-        hicond_obs::trace_start("cg/residual", 4 * (iters + 1));
         let solver = LaplacianSolver::new(&g, &opts(iters));
         let two_threads = || {
             std::thread::scope(|s| {
