@@ -52,6 +52,10 @@ HICOND_THREADS=4 HICOND_SCHED_JITTER=1 cargo test --offline -q --test determinis
 # jitter, then the TCP front end on the one-lane path.
 HICOND_THREADS=4 HICOND_SCHED_JITTER=1 cargo test --offline -q -p hicond --lib serve::batch
 HICOND_THREADS=1 cargo test --offline -q --test serve_concurrent
+# Two lanes: a batch's thread budget depends on how many lanes are
+# solving at checkout, so run the lanes and the TCP front end there too.
+HICOND_THREADS=2 HICOND_SCHED_JITTER=3 cargo test --offline -q -p hicond --lib serve::batch
+HICOND_THREADS=2 HICOND_SCHED_JITTER=3 cargo test --offline -q --test serve_concurrent
 
 step "cargo build --examples"
 cargo build --offline --examples
@@ -132,9 +136,10 @@ rm -rf target/serve_smoke && mkdir -p target/serve_smoke
 printf '6 6\n0 1 1.0\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n0 5 1.0\n' > target/serve_smoke/ring.txt
 serve_out=target/serve_smoke/server_out.txt
 serve_err=target/serve_smoke/server_err.txt
-# Ephemeral port; the server exits by itself after 4 connections. The
-# 5 s batch window + size trigger 3 coalesce the three parallel clients
-# when they arrive together, and never stall them when they don't.
+# Ephemeral port; the server exits by itself after 4 connections. Size
+# trigger 3 coalesces the three parallel clients when they are parsing
+# at the same time; a batch waits (at most the 5 s window) only for a
+# request still being parsed, so a client alone is answered at once.
 HICOND_SERVE_BATCH=3 HICOND_SERVE_BATCH_WINDOW_MS=5000 HICOND_OBS=json \
   cargo run --release --offline -q --bin hicond -- serve target/serve_smoke/ring.txt \
   --listen 127.0.0.1:0 --conns 4 > "$serve_out" 2> "$serve_err" &

@@ -11,9 +11,14 @@
 //! `collecting` flag), so a second lane never races into the window and
 //! never wakes to drain an empty batch; the other lanes are meanwhile
 //! solving earlier batches or parked. With `HICOND_THREADS=1` there is
-//! exactly one lane — the single dispatcher of a one-core host. Inside a
-//! lane, the block solve fans its columns out across the pool when the
-//! pool is free and runs them inline when another lane holds it.
+//! exactly one lane — the single dispatcher of a one-core host.
+//!
+//! A lane solves its batch on the pool threads that no other solving
+//! lane held when it checked the batch out: `lanes + 1 − busy` of them,
+//! at least one, where `busy` counts this lane too. A lone batch fans its
+//! columns over the whole pool; when every lane is busy each runs its
+//! batch inline on its own thread, so concurrent batches never fight
+//! over the pool. The results do not depend on the thread count.
 //!
 //! A panic inside a lane's solve is contained: every member of that
 //! batch is answered `ERR solve-failed: internal`, the
@@ -21,14 +26,22 @@
 //!
 //! ## Dispatch policy
 //!
-//! A batch closes on whichever trigger fires first:
+//! A caller announces a request it has started to parse by taking an
+//! [`Arrival`] ([`BatchQueue::arrival`]) and hands it in with
+//! [`Arrival::submit`] (or drops it: a meta verb, a parse error). The
+//! collecting lane closes its batch at once unless such an arrival is
+//! outstanding, and otherwise on whichever trigger fires first:
 //!
 //! - **size** — `HICOND_SERVE_BATCH` right-hand sides are pending
-//!   (default 8), or
+//!   (default 8),
+//! - **arrivals** — no caller is between parsing a request and
+//!   submitting it any more, or
 //! - **time** — `HICOND_SERVE_BATCH_WINDOW_MS` elapsed since the
-//!   collecting lane first saw the oldest pending request (default 2 ms),
-//!   so a lone client never waits longer than one window once a lane is
-//!   free.
+//!   collecting lane first saw the oldest pending request (default 2 ms).
+//!   The window only caps the wait for a request already being parsed:
+//!   a lone request is never held for company, and a client that stalls
+//!   mid-parse costs its batch-mates at most one window. A batch that
+//!   closes this way ticks `serve/window_expired`.
 //!
 //! Admission control is a hard cap, not a queue: when
 //! `HICOND_SERVE_MAX_INFLIGHT` right-hand sides are already pending or
@@ -68,8 +81,10 @@ pub struct BatchConfig {
     /// Maximum right-hand sides folded into one block solve
     /// (`HICOND_SERVE_BATCH`, default 8, minimum 1).
     pub max_batch: usize,
-    /// How long the collecting lane holds an underfull batch open
-    /// waiting for company (`HICOND_SERVE_BATCH_WINDOW_MS`, default 2 ms).
+    /// The longest the collecting lane holds an underfull batch open
+    /// for a request that is still being parsed (an outstanding
+    /// [`Arrival`]); with none outstanding the batch closes at once
+    /// (`HICOND_SERVE_BATCH_WINDOW_MS`, default 2 ms).
     pub window: Duration,
     /// Admission cap across queued + solving right-hand sides
     /// (`HICOND_SERVE_MAX_INFLIGHT`, default `4 * max_batch`).
@@ -153,6 +168,9 @@ struct Pending {
 
 struct QueueState {
     pending: VecDeque<Pending>,
+    /// Callers between the start of parsing a request and its submit
+    /// (live [`Arrival`] guards).
+    arriving: usize,
     /// Right-hand sides checked out by the lanes, not yet answered.
     solving: usize,
     /// A lane is holding a batch open (at most one at a time).
@@ -213,6 +231,7 @@ impl BatchQueue {
         Arc::new(BatchQueue {
             state: Mutex::new(QueueState {
                 pending: VecDeque::new(),
+                arriving: 0,
                 solving: 0,
                 collecting: false,
                 busy: 0,
@@ -240,10 +259,10 @@ impl BatchQueue {
     }
 
     /// Spawns one lane per pool thread of the calling thread
-    /// (`rayon::current_num_threads()`); each lane solves under that same
-    /// pool width. Returns a handle whose [`Dispatcher::join`] blocks
-    /// until [`shutdown`](BatchQueue::shutdown) has been called and the
-    /// drain finished.
+    /// (`rayon::current_num_threads()`); each batch solves on the share of
+    /// that pool width no other lane holds. Returns a handle whose
+    /// [`Dispatcher::join`] blocks until [`shutdown`](BatchQueue::shutdown)
+    /// has been called and the drain finished.
     pub fn start(
         self: &Arc<BatchQueue>,
         solver: Arc<LaplacianSolver>,
@@ -257,9 +276,7 @@ impl BatchQueue {
                     (Arc::clone(self), Arc::clone(&solver), Arc::clone(&stats));
                 std::thread::Builder::new()
                     .name(format!("serve-lane-{i}"))
-                    .spawn(move || {
-                        rayon::pool::with_thread_cap(lanes, || queue.lane_loop(&solver, &stats))
-                    })
+                    .spawn(move || queue.lane_loop(lanes, &solver, &stats))
                     .ok()
             })
             .collect();
@@ -268,13 +285,38 @@ impl BatchQueue {
 
     /// Admits one parsed right-hand side, returning the channel its
     /// solution will arrive on, or a structured refusal. Never blocks
-    /// beyond the mutex.
-    pub fn submit(
+    /// beyond the mutex. A caller that parses the request first should
+    /// take an [`arrival`](BatchQueue::arrival) before parsing and submit
+    /// through it, so a collecting lane knows to wait for it.
+    pub fn submit(&self, rhs: Vec<f64>, trace: u64) -> Result<Answer, SubmitError> {
+        let mut st = lock_state(&self.state);
+        let admitted = self.enqueue(&mut st, rhs, trace);
+        if admitted.is_ok() {
+            self.wake(&st);
+        }
+        admitted
+    }
+
+    /// Counts the caller as arriving — about to parse a request and
+    /// submit it — until the returned guard is submitted or dropped.
+    /// While any arrival is outstanding the collecting lane holds its
+    /// batch open (for at most the window).
+    pub fn arrival(&self) -> Arrival<'_> {
+        lock_state(&self.state).arriving += 1;
+        Arrival {
+            queue: self,
+            submitted: false,
+        }
+    }
+
+    /// The admission check and enqueue shared by [`BatchQueue::submit`]
+    /// and [`Arrival::submit`]; the caller wakes a lane.
+    fn enqueue(
         &self,
+        st: &mut QueueState,
         rhs: Vec<f64>,
         trace: u64,
-    ) -> Result<mpsc::Receiver<Result<Solution, SolveError>>, SubmitError> {
-        let mut st = lock_state(&self.state);
+    ) -> Result<Answer, SubmitError> {
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
@@ -289,12 +331,17 @@ impl BatchQueue {
         // the submitting connection died before receiving.
         let (tx, rx) = mpsc::sync_channel(1);
         st.pending.push_back(Pending { rhs, trace, tx });
+        Ok(rx)
+    }
+
+    /// Wakes the lane that must look at the queue now: the collecting
+    /// lane if one holds a batch open, else an idle one.
+    fn wake(&self, st: &QueueState) {
         if st.collecting {
             self.fill.notify_one();
         } else {
             self.work.notify_one();
         }
-        Ok(rx)
     }
 
     /// Current queue depth (pending + solving); used by shed messages
@@ -321,11 +368,13 @@ impl BatchQueue {
     }
 
     /// Lane body: collect → solve → answer, until shutdown drains the
-    /// queue dry.
-    fn lane_loop(&self, solver: &LaplacianSolver, stats: &ServeStats) {
-        while let Some(batch) = self.collect_batch(stats) {
+    /// queue dry. `lanes` is the number of lanes sharing the pool.
+    fn lane_loop(&self, lanes: usize, solver: &LaplacianSolver, stats: &ServeStats) {
+        while let Some((batch, busy)) = self.collect_batch(stats) {
             let k = batch.len();
-            self.solve_batch(batch, solver, stats);
+            rayon::pool::with_thread_cap(thread_budget(lanes, busy), || {
+                self.solve_batch(batch, solver, stats)
+            });
             let mut st = lock_state(&self.state);
             st.solving -= k;
             st.busy -= 1;
@@ -334,11 +383,12 @@ impl BatchQueue {
         }
     }
 
-    /// Blocks until this lane holds a ready batch per the size/time
-    /// triggers, or returns `None` once the queue is shut down and
-    /// drained. Checked-out requests are counted in `solving` (and the
-    /// lane in `busy`) until `lane_loop` returns them.
-    fn collect_batch(&self, stats: &ServeStats) -> Option<Vec<Pending>> {
+    /// Blocks until this lane holds a ready batch per the dispatch
+    /// policy, or returns `None` once the queue is shut down and drained.
+    /// Checked-out requests are counted in `solving` (and the lane in
+    /// `busy`) until `lane_loop` returns them; the batch comes with the
+    /// busy-lane count at checkout, this lane included.
+    fn collect_batch(&self, stats: &ServeStats) -> Option<(Vec<Pending>, usize)> {
         let mut st = lock_state(&self.state);
         // Phase 1: wait for work that no other lane is collecting.
         while st.pending.is_empty() || st.collecting {
@@ -348,19 +398,22 @@ impl BatchQueue {
             st = wait(&self.work, st);
         }
         st.collecting = true;
-        // Phase 2: hold the batch open for the time window unless the
-        // size trigger (or shutdown, which drains immediately) fires
-        // first. The window measures from when this lane saw the
+        // Phase 2: hold the batch open only while a caller is parsing a
+        // request that could join it, until the size trigger fires (or
+        // shutdown, which drains immediately), and never past the
+        // window. The window measures from when this lane saw the
         // batch's first member. Only the collecting lane drains, so the
         // batch cannot empty while it waits.
         //
         // audit: allow(instant-now) — dispatch-deadline bookkeeping;
         // wall time never reaches the solver numerics.
         let deadline = Instant::now() + self.cfg.window;
-        while st.pending.len() < self.cfg.max_batch && !st.shutdown {
+        let mut expired = false;
+        while st.pending.len() < self.cfg.max_batch && st.arriving > 0 && !st.shutdown {
             // audit: allow(instant-now) — see the deadline note above.
             let now = Instant::now();
             if now >= deadline {
+                expired = true;
                 break;
             }
             let (guard, _timeout) = match self.fill.wait_timeout(st, deadline - now) {
@@ -381,8 +434,13 @@ impl BatchQueue {
         } else if !st.pending.is_empty() {
             self.work.notify_one();
         }
-        stats.set_queue_gauges(st.pending.len() as u64, st.solving as u64, st.busy as u64);
-        Some(batch)
+        let busy = st.busy;
+        stats.set_queue_gauges(st.pending.len() as u64, st.solving as u64, busy as u64);
+        drop(st);
+        if expired {
+            hicond_obs::counter_add("serve/window_expired", 1);
+        }
+        Some((batch, busy))
     }
 
     /// Runs one block solve outside the lock and answers every member.
@@ -448,6 +506,57 @@ impl BatchQueue {
     }
 }
 
+/// Pool threads a lane may solve its batch on: the `lanes` pool threads
+/// minus those of the other `busy − 1` lanes solving at checkout (`busy`
+/// counts this lane), and at least one.
+fn thread_budget(lanes: usize, busy: usize) -> usize {
+    (lanes + 1).saturating_sub(busy).max(1)
+}
+
+/// The receiving end of an admitted request: its solution, or why the
+/// solve failed, arrives here exactly once.
+pub type Answer = mpsc::Receiver<Result<Solution, SolveError>>;
+
+/// A caller that has started to parse a request (see
+/// [`BatchQueue::arrival`]). [`submit`](Arrival::submit) enqueues the
+/// request and stops counting the caller in one critical section;
+/// dropping the guard unsubmitted (a meta verb, a parse error) just stops
+/// counting it, and releases a lane held open for it.
+pub struct Arrival<'a> {
+    queue: &'a BatchQueue,
+    submitted: bool,
+}
+
+impl Arrival<'_> {
+    /// [`BatchQueue::submit`] for the request this arrival announced.
+    pub fn submit(mut self, rhs: Vec<f64>, trace: u64) -> Result<Answer, SubmitError> {
+        self.submitted = true;
+        let queue = self.queue;
+        let mut st = lock_state(&queue.state);
+        st.arriving -= 1;
+        let admitted = queue.enqueue(&mut st, rhs, trace);
+        // A refused arrival still leaves: the collecting lane may be
+        // waiting on it.
+        if admitted.is_ok() || st.collecting {
+            queue.wake(&st);
+        }
+        admitted
+    }
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        if self.submitted {
+            return;
+        }
+        let mut st = lock_state(&self.queue.state);
+        st.arriving -= 1;
+        if st.collecting {
+            self.queue.fill.notify_one();
+        }
+    }
+}
+
 /// Join handle for the lanes.
 pub struct Dispatcher {
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -482,8 +591,6 @@ mod tests {
     fn size_trigger_forms_one_batch_of_k() {
         let (solver, b) = solver_and_rhs();
         let stats = Arc::new(ServeStats::new());
-        // Huge window: only the size trigger can close the batch, so the
-        // coalescing below is deterministic, not timing-lucky.
         let cfg = BatchConfig {
             max_batch: 3,
             window: Duration::from_secs(600),
@@ -491,6 +598,10 @@ mod tests {
         };
         let queue = BatchQueue::new(cfg);
         let dispatcher = queue.start(Arc::clone(&solver), Arc::clone(&stats));
+        // A caller still parsing holds the batch open and the window
+        // cannot expire: only the size trigger can close the batch, so
+        // the coalescing below is deterministic, not timing-lucky.
+        let parsing = queue.arrival();
         let rxs: Vec<_> = (0..3)
             .map(|i| queue.submit(b.clone(), 100 + i).expect("admitted"))
             .collect();
@@ -512,11 +623,16 @@ mod tests {
             Some(3.0),
             "the batch held all three members"
         );
+        drop(parsing);
         let report = queue.shutdown();
         dispatcher.join();
         assert_eq!(report.queued_at_shutdown, 0);
         assert_eq!(queue.depth(), 0);
     }
+
+    /// How long a test waits for an answer that must come long before a
+    /// 600-s window: a regression fails after this instead of hanging.
+    const NEVER: Duration = Duration::from_secs(60);
 
     #[test]
     fn window_trigger_answers_a_lone_request() {
@@ -529,11 +645,71 @@ mod tests {
         };
         let queue = BatchQueue::new(cfg);
         let dispatcher = queue.start(solver, Arc::clone(&stats));
+        let prev = hicond_obs::mode();
+        hicond_obs::set_mode(hicond_obs::Mode::Json);
+        let expired = hicond_obs::global().counter("serve/window_expired");
+        let before = expired.get();
+        // A caller that never finishes parsing: only the window can close
+        // the batch.
+        let stalled = queue.arrival();
         let rx = queue.submit(b, 7).expect("admitted");
-        let sol = rx.recv().expect("answered");
+        let sol = rx.recv_timeout(NEVER).expect("answered");
+        hicond_obs::set_mode(prev);
         assert!(sol.is_ok(), "lone request solved after the window");
+        assert_eq!(expired.get() - before, 1, "the batch closed on the window");
+        drop(stalled);
         queue.shutdown();
         dispatcher.join();
+    }
+
+    #[test]
+    fn a_lone_submit_is_answered_without_waiting_for_the_window() {
+        let (solver, b) = solver_and_rhs();
+        let queue = BatchQueue::new(BatchConfig {
+            max_batch: 8,
+            window: Duration::from_secs(600),
+            max_inflight: 32,
+        });
+        let dispatcher = queue.start(solver, Arc::new(ServeStats::new()));
+        // Nobody else is parsing a request: the batch of one closes at
+        // once, however long the window.
+        let rx = queue.submit(b, 7).expect("admitted");
+        let sol = rx.recv_timeout(NEVER).expect("answered before the window");
+        assert!(sol.is_ok());
+        queue.shutdown();
+        dispatcher.join();
+    }
+
+    #[test]
+    fn a_dropped_arrival_releases_the_collecting_lane() {
+        let (solver, b) = solver_and_rhs();
+        let queue = BatchQueue::new(BatchConfig {
+            max_batch: 8,
+            window: Duration::from_secs(600),
+            max_inflight: 32,
+        });
+        let dispatcher = queue.start(solver, Arc::new(ServeStats::new()));
+        let parsing = queue.arrival();
+        let rx = queue.submit(b, 7).expect("admitted");
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the batch is held open for the caller still parsing"
+        );
+        // The caller's line was a meta verb or garbage: nothing to wait for.
+        drop(parsing);
+        let sol = rx.recv_timeout(NEVER).expect("answered before the window");
+        assert!(sol.is_ok());
+        queue.shutdown();
+        dispatcher.join();
+    }
+
+    #[test]
+    fn thread_budget_leaves_the_other_lanes_their_threads() {
+        for lanes in 1..=8 {
+            assert_eq!(thread_budget(lanes, 1), lanes, "a lone lane gets the pool");
+            assert_eq!(thread_budget(lanes, lanes), 1, "all busy: one thread each");
+        }
+        assert_eq!(thread_budget(4, 2), 3);
     }
 
     #[test]
@@ -706,6 +882,53 @@ mod tests {
             answered,
             "batch sizes sum to the answered requests"
         );
+    }
+
+    #[test]
+    fn a_non_finite_member_fails_alone_and_its_batch_mates_keep_their_bits() {
+        const N: usize = 4;
+        const BAD: usize = 1;
+        let (solver, good, solos) = grid_fixture(N - 1);
+        let mut rhss = good;
+        let mut poisoned = rhss[0].clone();
+        poisoned[3] = f64::NAN;
+        rhss.insert(BAD, poisoned);
+        for cap in [1, 2] {
+            let stats = Arc::new(ServeStats::new());
+            let queue = BatchQueue::new(BatchConfig {
+                max_batch: N,
+                window: Duration::from_secs(600),
+                max_inflight: 4 * N,
+            });
+            let dispatcher = rayon::pool::with_thread_cap(cap, || {
+                queue.start(Arc::clone(&solver), Arc::clone(&stats))
+            });
+            // Held open until all N are pending: one batch.
+            let parsing = queue.arrival();
+            let rxs: Vec<_> = rhss
+                .iter()
+                .enumerate()
+                .map(|(i, b)| queue.submit(b.clone(), i as u64).expect("admitted"))
+                .collect();
+            let mut solo = solos.iter();
+            for (i, rx) in rxs.into_iter().enumerate() {
+                let res = rx.recv_timeout(NEVER).expect("answered");
+                if i == BAD {
+                    assert!(res.is_err(), "cap {cap}: NaN member got {res:?}");
+                } else {
+                    let sol = res.expect("good member converges");
+                    assert_eq!(
+                        Some(&bits(&sol.x)),
+                        solo.next(),
+                        "cap {cap}: member {i} equals its solo solve"
+                    );
+                }
+            }
+            assert_eq!(stats.batch_size.count(), 1, "cap {cap}: one batch");
+            drop(parsing);
+            queue.shutdown();
+            dispatcher.join();
+        }
     }
 
     #[test]

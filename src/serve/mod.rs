@@ -52,8 +52,9 @@
 //!   solve requests through a shared [`batch::BatchQueue`] so concurrent
 //!   clients coalesce into one block solve; the TCP transport)
 //! - [`batch`]: the coalescing queue + one solve lane per pool thread (size trigger
-//!   `HICOND_SERVE_BATCH`, time window `HICOND_SERVE_BATCH_WINDOW_MS`,
-//!   admission cap `HICOND_SERVE_MAX_INFLIGHT`)
+//!   `HICOND_SERVE_BATCH`, a wait for requests still being parsed capped
+//!   by `HICOND_SERVE_BATCH_WINDOW_MS`, admission cap
+//!   `HICOND_SERVE_MAX_INFLIGHT`)
 //! - [`server`]: the byte-level transports — a bounded line reader
 //!   (max-line + idle-timeout guard) and the session loop, both shared by
 //!   stdin and TCP, and the thread-per-connection TCP front end
@@ -260,26 +261,33 @@ pub fn respond(solver: &LaplacianSolver, n: usize, line: &str, stats: &ServeStat
 /// Handles one request line against a shared [`BatchQueue`] instead of a
 /// private solver: solve requests park on the queue until a lane
 /// folds them (with every other client's pending rhs) into one block
-/// solve. Meta verbs, parse errors, and replies are identical to
-/// [`respond`]; the only new outcome is `ERR busy` when admission
-/// control sheds the request. Infallible by design, like `respond`: the
-/// connection survives every malformed or shed input.
+/// solve. The caller counts as an [`batch::Arrival`] from before the
+/// parse until the submit, so a lane holding a batch open waits for this
+/// request and for no request that is not on its way. Meta verbs, parse
+/// errors, and replies are identical to [`respond`]; the only new
+/// outcome is `ERR busy` when admission control sheds the request.
+/// Infallible by design, like `respond`: the connection survives every
+/// malformed or shed input.
 pub fn respond_batched(queue: &BatchQueue, n: usize, line: &str, stats: &ServeStats) -> Action {
+    let arrival = queue.arrival();
     // The trace id survives batching because the lane links it to
-    // the shared block solve's trace with a `batch_join` event.
-    respond_with(n, line, stats, |b, trace| match queue.submit(b, trace) {
-        // A dropped sender means the request was dropped unanswered (no
-        // lane left to drain it): answer structurally, never hang.
-        Ok(rx) => rx
-            .recv()
-            .map_err(|_| "service is shutting down".to_string()),
-        Err(SubmitError::Busy { depth, limit }) => {
-            hicond_obs::counter_add("serve/shed", 1);
-            Err(format!(
-                "{depth} requests pending or solving (limit {limit}); retry later"
-            ))
+    // the shared block solve's trace with a `batch_join` event. A meta
+    // verb or a parse error drops the closure and with it the arrival.
+    respond_with(n, line, stats, move |b, trace| {
+        match arrival.submit(b, trace) {
+            // A dropped sender means the request was dropped unanswered (no
+            // lane left to drain it): answer structurally, never hang.
+            Ok(rx) => rx
+                .recv()
+                .map_err(|_| "service is shutting down".to_string()),
+            Err(SubmitError::Busy { depth, limit }) => {
+                hicond_obs::counter_add("serve/shed", 1);
+                Err(format!(
+                    "{depth} requests pending or solving (limit {limit}); retry later"
+                ))
+            }
+            Err(SubmitError::ShuttingDown) => Err("service is shutting down".to_string()),
         }
-        Err(SubmitError::ShuttingDown) => Err("service is shutting down".to_string()),
     })
 }
 

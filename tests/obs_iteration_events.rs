@@ -5,14 +5,21 @@
 //! the preconditioner's `precond_apply` span (one enter/exit pair) and, when
 //! the relative residual crosses a decade, one milestone. Two multilevel
 //! solves capped at different iteration counts, each under its own trace
-//! id, hold the ring to that.
+//! id, hold the ring to that, on one thread and with every kernel fanned
+//! out over the pool, where the pool's task and dispatch counters go to
+//! the registry only.
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use hicond_graph::generators;
 use hicond_obs::flight::{self, EventKind};
 use hicond_precond::{LaplacianSolver, SolveError, SolverOptions};
 use rayon::pool::with_thread_cap;
+
+/// Serializes the tests of this file: each switches the process-wide
+/// recording mode on and off around its solves.
+static MODE: Mutex<()> = Mutex::new(());
 
 /// Flight events of one capped solve, counted by `(kind, name)`.
 fn events_of_capped_solve(
@@ -48,14 +55,29 @@ fn events_of_capped_solve(
     counts
 }
 
-#[test]
-fn an_iteration_records_only_its_precond_apply_span_and_milestones() {
-    hicond_obs::set_mode(hicond_obs::Mode::Json);
-    // 400 rows: every kernel runs as one chunk, so no pool task events.
-    let g = generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 3) as f64);
+/// Number of `kind` events in a count map.
+fn total(m: &BTreeMap<(String, String), usize>, kind: EventKind) -> usize {
+    m.iter()
+        .filter(|((k, _), _)| k == kind.label())
+        .map(|(_, c)| c)
+        .sum()
+}
+
+/// A deflated right-hand side for `g`.
+fn rhs(g: &hicond_graph::Graph) -> Vec<f64> {
     let n = g.num_vertices();
     let mut b: Vec<f64> = (0..n).map(|i| ((i * 29 + 7) % 19) as f64 - 9.0).collect();
     hicond_linalg::vector::deflate_constant(&mut b);
+    b
+}
+
+#[test]
+fn an_iteration_records_only_its_precond_apply_span_and_milestones() {
+    let _mode = MODE.lock().unwrap_or_else(|p| p.into_inner());
+    hicond_obs::set_mode(hicond_obs::Mode::Json);
+    // 400 rows: every kernel runs as one chunk, so no pool task events.
+    let g = generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 3) as f64);
+    let b = rhs(&g);
 
     let (short, long) = with_thread_cap(1, || {
         (
@@ -65,12 +87,7 @@ fn an_iteration_records_only_its_precond_apply_span_and_milestones() {
     });
     hicond_obs::set_mode(hicond_obs::Mode::Off);
 
-    let counters = |m: &BTreeMap<(String, String), usize>| -> usize {
-        m.iter()
-            .filter(|((kind, _), _)| kind == EventKind::CounterAdd.label())
-            .map(|(_, c)| c)
-            .sum()
-    };
+    let counters = |m: &BTreeMap<(String, String), usize>| total(m, EventKind::CounterAdd);
     assert!(counters(&short) > 0, "no counter events: {short:?}");
     assert_eq!(
         counters(&short),
@@ -102,5 +119,34 @@ fn an_iteration_records_only_its_precond_apply_span_and_milestones() {
     assert_eq!(
         (extra(EventKind::SpanEnter), extra(EventKind::SpanExit)),
         (15, 15)
+    );
+}
+
+#[test]
+fn a_fanned_out_iteration_records_no_counter_events() {
+    let _mode = MODE.lock().unwrap_or_else(|p| p.into_inner());
+    hicond_obs::set_mode(hicond_obs::Mode::Json);
+    // 4900 rows, over one `MIN_PAR_CHUNK` of 4096: the finest level's row
+    // sweeps split into chunks, so at cap 2 every iteration dispatches.
+    let g = generators::grid2d(70, 70, |u, v| 1.0 + ((u + 2 * v) % 3) as f64);
+    assert!(g.num_vertices() > rayon::pool::MIN_PAR_CHUNK);
+    let b = rhs(&g);
+
+    let (short, long) = with_thread_cap(2, || {
+        (
+            events_of_capped_solve(&g, &b, 5),
+            events_of_capped_solve(&g, &b, 20),
+        )
+    });
+    hicond_obs::set_mode(hicond_obs::Mode::Off);
+
+    assert!(
+        total(&long, EventKind::PoolTask) > total(&short, EventKind::PoolTask),
+        "the longer solve fanned more kernels out over the pool:\n5 iterations: {short:?}\n20 iterations: {long:?}"
+    );
+    assert_eq!(
+        total(&short, EventKind::CounterAdd),
+        total(&long, EventKind::CounterAdd),
+        "counter events grew with the iteration count:\n5 iterations: {short:?}\n20 iterations: {long:?}"
     );
 }

@@ -5,10 +5,11 @@
 //! the batch dispatcher routes through the deterministic block-PCG
 //! engine.
 //!
-//! Batching is made deterministic, not timing-lucky: the dispatch window
-//! is huge (10 min) and the size trigger equals the client count, so the
-//! dispatcher *must* coalesce all N requests into exactly one block
-//! solve before anyone gets a reply. The robustness test exercises the
+//! Batching is made deterministic, not timing-lucky: the test holds an
+//! arrival on the queue (a request "still being parsed") for the whole
+//! exchange, the dispatch window is huge (10 min) and the size trigger
+//! equals the client count, so the dispatcher *must* coalesce all N
+//! requests into exactly one block solve before anyone gets a reply. The robustness test exercises the
 //! oversized-line guard and the idle-timeout reaper over a real socket.
 
 use hicond::precond::{LaplacianSolver, SolverOptions};
@@ -56,17 +57,19 @@ fn launch(
     SocketAddr,
     std::thread::JoinHandle<ServeSummary>,
     Arc<ServeStats>,
+    Arc<BatchQueue>,
 ) {
     let (listener, addr) = bind("127.0.0.1:0").expect("bind loopback");
     let stats = Arc::new(ServeStats::new());
     let queue = BatchQueue::new(cfg);
     let dispatcher: Dispatcher = queue.start(Arc::clone(solver), Arc::clone(&stats));
     let stats_for_server = Arc::clone(&stats);
+    let queue_for_server = Arc::clone(&queue);
     let handle = std::thread::spawn(move || {
         let stop = AtomicBool::new(false);
         serve_tcp(
             listener,
-            &queue,
+            &queue_for_server,
             dispatcher,
             &stats_for_server,
             &serve_cfg,
@@ -75,7 +78,7 @@ fn launch(
         )
         .expect("serve_tcp runs to completion")
     });
-    (addr, handle, stats)
+    (addr, handle, stats, queue)
 }
 
 fn connect(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
@@ -131,9 +134,10 @@ fn concurrent_clients_coalesce_into_one_block_solve() {
     let (solver, n, rhss) = fixture();
     let cfg = BatchConfig {
         max_batch: N_CLIENTS,
-        // Deterministic coalescing: the window cannot expire during the
-        // test, so only the size trigger can fire — all N rhs in one
-        // batch, or the test hangs (caught by the client read timeout).
+        // Deterministic coalescing: the arrival held below keeps every
+        // batch open and the window cannot expire during the test, so
+        // only the size trigger can fire — all N rhs in one batch, or
+        // the test hangs (caught by the client read timeout).
         window: Duration::from_secs(600),
         max_inflight: 4 * N_CLIENTS,
     };
@@ -142,7 +146,8 @@ fn concurrent_clients_coalesce_into_one_block_solve() {
         max_line: hicond::serve::max_line_bytes(n),
         read_timeout: Duration::from_secs(60),
     };
-    let (addr, server, _stats) = launch(&solver, cfg, serve_cfg, N_CLIENTS as u64 + 1);
+    let (addr, server, _stats, queue) = launch(&solver, cfg, serve_cfg, N_CLIENTS as u64 + 1);
+    let parsing = queue.arrival();
 
     let clients: Vec<_> = rhss
         .iter()
@@ -171,6 +176,7 @@ fn concurrent_clients_coalesce_into_one_block_solve() {
         let solo_bits: Vec<u64> = solo.x.iter().map(|v| v.to_bits()).collect();
         assert_eq!(x, solo_bits, "client {j}: batched == solo, bitwise");
     }
+    drop(parsing);
 
     // All clients answered ⇒ the batch completed. A final session scrapes
     // the stats verb: gauges return to zero (the dispatcher publishes
@@ -231,7 +237,7 @@ fn oversized_lines_and_idle_peers_get_structured_errors() {
         max_line,
         read_timeout: Duration::from_millis(400),
     };
-    let (addr, server, _stats) = launch(&solver, cfg, serve_cfg, 2);
+    let (addr, server, _stats, _queue) = launch(&solver, cfg, serve_cfg, 2);
 
     // Client 1: floods an oversized line. The server discards it with a
     // structured reply, stays line-synchronized, and still answers a
