@@ -263,16 +263,7 @@ fn parse_entry_name(path: &Path) -> Option<(u32, u64)> {
         return None;
     }
     let key = u64::from_str_radix(key_hex, 16).ok()?;
-    let kind = [
-        kinds::GRAPH,
-        kinds::PARTITION,
-        kinds::DECOMPOSITION,
-        kinds::HIERARCHY,
-        kinds::SOLVER,
-    ]
-    .into_iter()
-    .find(|&k| kinds::name(k) == kind_name)?;
-    Some((kind, key))
+    (kind_name == kinds::name(kinds::SOLVER)).then_some((kinds::SOLVER, key))
 }
 
 #[cfg(test)]
@@ -288,7 +279,7 @@ mod tests {
     }
 
     fn sample_bytes() -> Vec<u8> {
-        let mut w = ArtifactWriter::new(kinds::GRAPH);
+        let mut w = ArtifactWriter::new(kinds::SOLVER);
         w.section(1, &vec![1u32, 2, 3]);
         w.finish()
     }
@@ -296,14 +287,16 @@ mod tests {
     #[test]
     fn store_load_roundtrip_and_miss() {
         let cache = Cache::at(tmpdir("roundtrip"));
-        assert!(cache.load(kinds::GRAPH, 42).unwrap().is_none());
-        let bytes = sample_bytes();
-        let path = cache.store(kinds::GRAPH, 42, &bytes).unwrap();
-        assert!(path.exists());
-        let loaded = cache.load(kinds::GRAPH, 42).unwrap().unwrap();
-        assert_eq!(loaded, bytes);
-        // Same key, different kind: miss, not a collision.
         assert!(cache.load(kinds::SOLVER, 42).unwrap().is_none());
+        let bytes = sample_bytes();
+        let path = cache.store(kinds::SOLVER, 42, &bytes).unwrap();
+        assert!(path.exists());
+        let loaded = cache.load(kinds::SOLVER, 42).unwrap().unwrap();
+        assert_eq!(loaded, bytes);
+        // Another key, or the same key under an unknown kind: miss, not a
+        // collision.
+        assert!(cache.load(kinds::SOLVER, 43).unwrap().is_none());
+        assert!(cache.load(1, 42).unwrap().is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -311,26 +304,26 @@ mod tests {
     fn corrupt_entry_is_an_error_and_gc_removes_it() {
         let cache = Cache::at(tmpdir("corrupt"));
         let bytes = sample_bytes();
-        let path = cache.store(kinds::GRAPH, 7, &bytes).unwrap();
+        let path = cache.store(kinds::SOLVER, 7, &bytes).unwrap();
         let mut corrupted = bytes.clone();
         corrupted[bytes.len() / 2] ^= 0x40;
         fs::write(&path, &corrupted).unwrap();
-        assert!(cache.load(kinds::GRAPH, 7).is_err());
+        assert!(cache.load(kinds::SOLVER, 7).is_err());
         let verify = cache.verify().unwrap();
         assert_eq!(verify.ok, 0);
         assert_eq!(verify.bad.len(), 1);
         let gc = cache.gc(false).unwrap();
         assert_eq!(gc.corrupt_removed, 1);
-        assert!(cache.load(kinds::GRAPH, 7).unwrap().is_none());
+        assert!(cache.load(kinds::SOLVER, 7).unwrap().is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn gc_sweeps_tmp_orphans_and_all() {
         let cache = Cache::at(tmpdir("gc"));
-        cache.store(kinds::GRAPH, 1, &sample_bytes()).unwrap();
-        cache.store(kinds::GRAPH, 2, &sample_bytes()).unwrap();
-        fs::write(cache.dir().join(".tmp-999-0-graph-dead"), b"partial").unwrap();
+        cache.store(kinds::SOLVER, 1, &sample_bytes()).unwrap();
+        cache.store(kinds::SOLVER, 2, &sample_bytes()).unwrap();
+        fs::write(cache.dir().join(".tmp-999-0-solver-dead"), b"partial").unwrap();
         let gc = cache.gc(false).unwrap();
         assert_eq!(gc.tmp_removed, 1);
         assert_eq!(gc.removed, 0);
@@ -350,13 +343,15 @@ mod tests {
                 w.finish()
             })
             .unwrap();
-        cache.store(kinds::GRAPH, 0xAAAA, &sample_bytes()).unwrap();
+        cache.store(kinds::SOLVER, 0xAAAA, &sample_bytes()).unwrap();
         fs::write(cache.dir().join("README.txt"), b"not an entry").unwrap();
+        // A well-formed name of a kind the cache does not store.
+        fs::write(cache.dir().join("graph-0000000000000001.hca"), b"x").unwrap();
         let entries = cache.entries().unwrap();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].kind, kinds::GRAPH);
+        assert_eq!(entries[0].kind, kinds::SOLVER);
         assert_eq!(entries[0].key, 0xAAAA);
-        assert_eq!(entries[1].kind, kinds::SOLVER);
+        assert_eq!(entries[1].key, 0xBEEF);
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -366,9 +361,13 @@ mod tests {
         let p = cache.path_for(kinds::SOLVER, 0x1234);
         assert_eq!(parse_entry_name(&p), Some((kinds::SOLVER, 0x1234)));
         assert_eq!(parse_entry_name(Path::new("x/evil-123.hca")), None);
-        assert_eq!(parse_entry_name(Path::new("x/graph-zz.hca")), None);
+        assert_eq!(parse_entry_name(Path::new("x/solver-zz.hca")), None);
         assert_eq!(
-            parse_entry_name(Path::new("x/graph-0000000000000001.txt")),
+            parse_entry_name(Path::new("x/solver-0000000000000001.txt")),
+            None
+        );
+        assert_eq!(
+            parse_entry_name(Path::new("x/graph-0000000000000001.hca")),
             None
         );
     }

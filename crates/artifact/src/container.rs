@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"HICONDA\0"
-//! 8       4     format version (u32, currently 1)
+//! 8       4     format version (u32, currently 2)
 //! 12      4     artifact kind (u32, see [`kinds`])
 //! 16      4     section count S (u32)
 //! 20      16*S  section table: S entries of { tag: u32, len: u64, crc32: u32 }
@@ -24,34 +24,26 @@ use crate::crc32::crc32;
 /// File magic: 8 bytes, ASCII + NUL pad.
 pub const MAGIC: [u8; 8] = *b"HICONDA\0";
 
-/// Current (and only) container format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current (and only) container format version. Bump it with every change
+/// to a payload layout: the parser refuses other versions, and the solver
+/// cache key hashes it, so an old entry misses instead of being misread.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on sections per container; real artifacts use < 10, so a
 /// larger count is corruption, not scale.
 const MAX_SECTIONS: u32 = 64;
 
 /// Registry of artifact kinds. Kinds partition the cache namespace and are
-/// validated on load so a graph artifact can never be decoded as a solver.
+/// validated on load, so a container of another kind is never decoded as
+/// a solver.
 pub mod kinds {
-    /// A graph in canonical edge-list form.
-    pub const GRAPH: u32 = 1;
-    /// A flat partition (cluster assignment).
-    pub const PARTITION: u32 = 2;
-    /// A decomposition result: partition + per-cluster quality.
-    pub const DECOMPOSITION: u32 = 3;
-    /// A laminar hierarchy of coarsened graphs and partitions.
-    pub const HIERARCHY: u32 = 4;
-    /// Full Laplacian solver state (multilevel preconditioner + factors).
+    /// Full Laplacian solver state (multilevel preconditioner + factors):
+    /// the one kind the cache stores.
     pub const SOLVER: u32 = 5;
 
     /// Human-readable name for a kind id.
     pub fn name(kind: u32) -> &'static str {
         match kind {
-            GRAPH => "graph",
-            PARTITION => "partition",
-            DECOMPOSITION => "decomposition",
-            HIERARCHY => "hierarchy",
             SOLVER => "solver",
             _ => "unknown",
         }
@@ -286,8 +278,11 @@ impl<'a> ArtifactReader<'a> {
 mod tests {
     use super::*;
 
+    /// A kind id no artifact uses, to tell kinds apart.
+    const OTHER: u32 = 1;
+
     fn sample() -> Vec<u8> {
-        let mut w = ArtifactWriter::new(kinds::GRAPH);
+        let mut w = ArtifactWriter::new(OTHER);
         w.section(1, &vec![1u32, 2, 3]);
         w.section(2, &"metadata".to_string());
         w.section(7, &vec![0.5f64, -1.25]);
@@ -298,8 +293,8 @@ mod tests {
     fn roundtrip() {
         let bytes = sample();
         let r = ArtifactReader::parse(&bytes).unwrap();
-        assert_eq!(r.kind(), kinds::GRAPH);
-        r.expect_kind(kinds::GRAPH).unwrap();
+        assert_eq!(r.kind(), OTHER);
+        r.expect_kind(OTHER).unwrap();
         assert!(r.expect_kind(kinds::SOLVER).is_err());
         let v: Vec<u32> = r.decode_section(1).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
@@ -366,7 +361,7 @@ mod tests {
         let mut w = Encoder::new();
         w.put_raw(&MAGIC);
         w.put_u32(FORMAT_VERSION + 1);
-        w.put_u32(kinds::GRAPH);
+        w.put_u32(OTHER);
         w.put_u32(0);
         let mut out = w.into_bytes();
         let crc = crc32(&out);
@@ -379,9 +374,9 @@ mod tests {
 
     #[test]
     fn empty_container_roundtrips() {
-        let bytes = ArtifactWriter::new(kinds::PARTITION).finish();
+        let bytes = ArtifactWriter::new(kinds::SOLVER).finish();
         let r = ArtifactReader::parse(&bytes).unwrap();
-        assert_eq!(r.kind(), kinds::PARTITION);
+        assert_eq!(r.kind(), kinds::SOLVER);
         assert!(r.sections().is_empty());
     }
 
@@ -390,7 +385,7 @@ mod tests {
         let mut w = Encoder::new();
         w.put_raw(&MAGIC);
         w.put_u32(FORMAT_VERSION);
-        w.put_u32(kinds::GRAPH);
+        w.put_u32(OTHER);
         w.put_u32(u32::MAX);
         let mut out = w.into_bytes();
         let crc = crc32(&out);
@@ -403,7 +398,7 @@ mod tests {
 
     #[test]
     fn duplicate_tags_rejected() {
-        let mut w = ArtifactWriter::new(kinds::GRAPH);
+        let mut w = ArtifactWriter::new(OTHER);
         w.section(1, &1u32);
         w.section(1, &2u32);
         let bytes = w.finish();

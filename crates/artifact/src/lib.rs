@@ -19,8 +19,8 @@
 //!   write-then-rename publication and `ls`/`gc`/`verify` maintenance.
 //!
 //! Type-specific `Encode`/`Decode` impls live next to the types they
-//! serialize (in `hicond-linalg`, `hicond-graph`, `hicond-core`,
-//! `hicond-precond`); this crate only knows bytes.
+//! serialize (in `hicond-linalg`, `hicond-core`, `hicond-precond`); this
+//! crate only knows bytes.
 
 pub mod cache;
 pub mod codec;

@@ -1,17 +1,10 @@
-//! Artifact [`Encode`]/[`Decode`] impls for decomposition types, plus
-//! option-set fingerprinting for cache keys.
-//!
-//! A [`Hierarchy`] is the laminar decomposition the multilevel Steiner
-//! preconditioner hangs off; it persists as the level list, each level a
-//! graph plus optional partition. Decoding cross-validates the laminar
-//! structure — each partition's length must match its level's vertex count
-//! and its cluster count must match the next level's vertex count — so a
-//! decoded hierarchy can never index out of bounds downstream.
+//! Artifact [`Encode`]/[`Decode`] impls for the hierarchy build options
+//! (which travel inside a solver artifact), plus option-set
+//! fingerprinting for cache keys.
 
 use crate::fixed_degree::FixedDegreeOptions;
-use crate::hierarchy::{Hierarchy, HierarchyOptions, Level};
+use crate::hierarchy::HierarchyOptions;
 use hicond_artifact::{ArtifactError, Decode, Decoder, Encode, Encoder, Fnv64};
-use hicond_graph::{Graph, Partition};
 
 impl Encode for FixedDegreeOptions {
     fn encode(&self, enc: &mut Encoder) {
@@ -51,70 +44,6 @@ impl Decode for HierarchyOptions {
     }
 }
 
-impl Encode for Level {
-    fn encode(&self, enc: &mut Encoder) {
-        self.graph.encode(enc);
-        self.partition.encode(enc);
-    }
-}
-
-impl Decode for Level {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let graph = Graph::decode(dec)?;
-        let partition: Option<Partition> = Option::decode(dec)?;
-        if let Some(p) = &partition {
-            if p.assignment().len() != graph.num_vertices() {
-                return Err(ArtifactError::Malformed(format!(
-                    "level partition covers {} vertices, graph has {}",
-                    p.assignment().len(),
-                    graph.num_vertices()
-                )));
-            }
-        }
-        Ok(Level { graph, partition })
-    }
-}
-
-impl Encode for Hierarchy {
-    fn encode(&self, enc: &mut Encoder) {
-        self.levels.encode(enc);
-    }
-}
-
-impl Decode for Hierarchy {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let levels: Vec<Level> = Vec::decode(dec)?;
-        if levels.is_empty() {
-            return Err(ArtifactError::Malformed(
-                "hierarchy must have at least one level".to_string(),
-            ));
-        }
-        // Laminar consistency: every level but the coarsest carries a
-        // partition whose cluster count is the next level's vertex count.
-        for (i, (fine, coarse)) in levels.iter().zip(levels.iter().skip(1)).enumerate() {
-            let Some(p) = &fine.partition else {
-                return Err(ArtifactError::Malformed(format!(
-                    "level {i} lacks a partition but is not the coarsest"
-                )));
-            };
-            if p.num_clusters() != coarse.graph.num_vertices() {
-                return Err(ArtifactError::Malformed(format!(
-                    "level {i} has {} clusters but level {} has {} vertices",
-                    p.num_clusters(),
-                    i + 1,
-                    coarse.graph.num_vertices()
-                )));
-            }
-        }
-        if levels.last().is_some_and(|l| l.partition.is_some()) {
-            return Err(ArtifactError::Malformed(
-                "coarsest level must not carry a partition".to_string(),
-            ));
-        }
-        Ok(Hierarchy { levels })
-    }
-}
-
 /// Folds a [`HierarchyOptions`] into a fingerprint hasher. Every field that
 /// influences the built hierarchy participates, so two option sets collide
 /// only if they build identical hierarchies on every input.
@@ -133,66 +62,7 @@ pub fn hash_hierarchy_options(h: &mut Fnv64, opts: &HierarchyOptions) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::build_hierarchy;
     use hicond_artifact::{decode_exact, encode_to_vec};
-    use hicond_graph::generators;
-
-    fn sample_hierarchy() -> Hierarchy {
-        let g = generators::grid2d(16, 16, |_, _| 1.0);
-        build_hierarchy(
-            &g,
-            &HierarchyOptions {
-                coarse_size: 20,
-                ..Default::default()
-            },
-        )
-    }
-
-    #[test]
-    fn hierarchy_roundtrips_bitwise() {
-        let h = sample_hierarchy();
-        let bytes = encode_to_vec(&h);
-        let back: Hierarchy = decode_exact(&bytes).unwrap();
-        assert_eq!(h.num_levels(), back.num_levels());
-        assert_eq!(h.level_sizes(), back.level_sizes());
-        for (a, b) in h.levels.iter().zip(&back.levels) {
-            for (ea, eb) in a.graph.edges().iter().zip(b.graph.edges()) {
-                assert_eq!(ea.w.to_bits(), eb.w.to_bits());
-            }
-            match (&a.partition, &b.partition) {
-                (Some(pa), Some(pb)) => assert_eq!(pa, pb),
-                (None, None) => {}
-                _ => panic!("partition presence mismatch"),
-            }
-        }
-    }
-
-    #[test]
-    fn laminar_inconsistency_rejected() {
-        let h = sample_hierarchy();
-        assert!(h.num_levels() >= 2, "need a multi-level sample");
-        // Drop the finest level's partition: no longer laminar.
-        let mut broken = h.clone();
-        broken.levels[0].partition = None;
-        assert!(matches!(
-            decode_exact::<Hierarchy>(&encode_to_vec(&broken)),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Give the coarsest level a partition: also rejected.
-        let mut broken = h.clone();
-        let top_n = broken.levels.last().unwrap().graph.num_vertices();
-        broken.levels.last_mut().unwrap().partition = Some(Partition::singletons(top_n));
-        assert!(matches!(
-            decode_exact::<Hierarchy>(&encode_to_vec(&broken)),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Empty hierarchy.
-        let empty = Hierarchy { levels: vec![] };
-        assert!(matches!(
-            decode_exact::<Hierarchy>(&encode_to_vec(&empty)),
-            Err(ArtifactError::Malformed(_))
-        ));
-    }
 
     #[test]
     fn options_roundtrip_and_hash_sensitivity() {

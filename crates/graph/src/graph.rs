@@ -339,10 +339,10 @@ impl Graph {
 }
 
 /// Upper bound on vertex counts accepted from untrusted sources (the text
-/// readers and artifact decode). The CSR construction allocates several
-/// `n`-sized arrays, so a forged header must not be able to demand an
-/// arbitrary allocation; 2^26 vertices is ~0.5 GiB of adjacency pointers,
-/// far above any workload in the paper's experiments.
+/// readers). The CSR construction allocates several `n`-sized arrays, so a
+/// forged header must not be able to demand an arbitrary allocation; 2^26
+/// vertices is ~0.5 GiB of adjacency pointers, far above any workload in
+/// the paper's experiments.
 pub const MAX_UNTRUSTED_VERTICES: usize = 1 << 26;
 
 /// Largest edge-capacity hint the builder honors up front. Hints often

@@ -1,18 +1,9 @@
-//! Artifact [`Encode`]/[`Decode`] impls for graph types, plus the canonical
-//! graph fingerprint used as the cache key.
-//!
-//! A [`Graph`] travels as `(n, edge list)` with edges in canonical
-//! `(u, v)`-sorted order and weights by bit pattern; decoding validates
-//! every endpoint and weight before touching [`Graph::from_edges`] (whose
-//! assertions would otherwise panic on hostile bytes). A [`Partition`]
-//! must decode to a *dense* assignment — the same invariant the
-//! decomposition algorithms guarantee.
+//! The canonical graph fingerprint used in the solver cache key. Graphs
+//! themselves are never stored: a solver artifact carries the matrices
+//! built from one, and its key names the graph by this hash.
 
-use crate::closure::ClusterQuality;
-use crate::graph::{Graph, MAX_UNTRUSTED_VERTICES};
-use crate::measures::ConductanceEstimate;
-use crate::partition::{DecompositionQuality, Partition};
-use hicond_artifact::{ArtifactError, Decode, Decoder, Encode, Encoder, Fnv64};
+use crate::graph::Graph;
+use hicond_artifact::Fnv64;
 
 /// Stable 64-bit content fingerprint of a graph: vertex count, edge count,
 /// and every edge `(u, v, weight bits)` in canonical sorted order.
@@ -43,174 +34,9 @@ pub fn graph_fingerprint(g: &Graph) -> u64 {
     h.finish()
 }
 
-impl Encode for Graph {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.num_vertices());
-        enc.put_usize(self.num_edges());
-        for e in self.edges() {
-            enc.put_u32(e.u);
-            enc.put_u32(e.v);
-            enc.put_f64(e.w);
-        }
-    }
-}
-
-impl Decode for Graph {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let n = dec.usize_()?;
-        // CSR construction allocates O(n) even for an edgeless graph, so an
-        // untrusted vertex count is capped before anything is sized by it.
-        if n > MAX_UNTRUSTED_VERTICES {
-            return Err(ArtifactError::Malformed(format!(
-                "vertex count {n} exceeds the {MAX_UNTRUSTED_VERTICES} decode limit"
-            )));
-        }
-        let m = dec.usize_()?;
-        // Each edge costs 16 bytes; reject absurd counts before allocating,
-        // so the capacity hint is clamped by the remaining input length.
-        if m > dec.remaining() / 16 {
-            return Err(ArtifactError::Truncated {
-                needed: m.saturating_mul(16),
-                available: dec.remaining(),
-            });
-        }
-        let mut list = Vec::with_capacity(m);
-        for _ in 0..m {
-            let u = dec.u32()?;
-            let v = dec.u32()?;
-            let w = dec.f64()?;
-            if u >= v {
-                return Err(ArtifactError::Malformed(format!(
-                    "edge ({u}, {v}) violates u < v canonical order"
-                )));
-            }
-            if v as usize >= n {
-                return Err(ArtifactError::Malformed(format!(
-                    "edge endpoint {v} out of range for {n} vertices"
-                )));
-            }
-            if !(w.is_finite() && w > 0.0) {
-                return Err(ArtifactError::Malformed(format!(
-                    "edge ({u}, {v}) has non-positive or non-finite weight {w}"
-                )));
-            }
-            list.push((u as usize, v as usize, w));
-        }
-        // reach: trusted(every endpoint is < n, canonically ordered, and positively weighted — validated above — so the from_edges construction assertions cannot fire; duplicate edges merge by weight summation, still a valid graph)
-        Ok(Graph::from_edges(n, &list))
-    }
-}
-
-impl Encode for Partition {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.num_clusters());
-        enc.put_u32_slice(self.assignment());
-    }
-}
-
-impl Decode for Partition {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let num_clusters = dec.usize_()?;
-        let assignment = dec.u32_vec()?;
-        for (v, &c) in assignment.iter().enumerate() {
-            if c as usize >= num_clusters {
-                return Err(ArtifactError::Malformed(format!(
-                    "vertex {v} assigned to cluster {c} >= num_clusters {num_clusters}"
-                )));
-            }
-        }
-        // reach: trusted(every id was checked against num_clusters in the loop above, so the from_assignment range assertion cannot fire)
-        let p = Partition::from_assignment(assignment, num_clusters);
-        p.check_invariants()
-            .map_err(|v| ArtifactError::Malformed(format!("Partition: {v}")))?;
-        Ok(p)
-    }
-}
-
-impl Encode for ConductanceEstimate {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(self.lower);
-        enc.put_f64(self.upper);
-        enc.put_bool(self.exact);
-    }
-}
-
-impl Decode for ConductanceEstimate {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        Ok(ConductanceEstimate {
-            lower: dec.f64()?,
-            upper: dec.f64()?,
-            exact: dec.bool()?,
-        })
-    }
-}
-
-impl Encode for ClusterQuality {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.size);
-        enc.put_usize(self.boundary_edges);
-        self.conductance.encode(enc);
-        enc.put_f64(self.min_gamma);
-    }
-}
-
-impl Decode for ClusterQuality {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        Ok(ClusterQuality {
-            size: dec.usize_()?,
-            boundary_edges: dec.usize_()?,
-            conductance: ConductanceEstimate::decode(dec)?,
-            min_gamma: dec.f64()?,
-        })
-    }
-}
-
-impl Encode for DecompositionQuality {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_f64(self.phi);
-        enc.put_bool(self.phi_exact);
-        enc.put_f64(self.gamma);
-        enc.put_f64(self.rho);
-        enc.put_f64(self.cut_fraction);
-        enc.put_usize(self.max_cluster_size);
-        enc.put_usize(self.num_clusters);
-    }
-}
-
-impl Decode for DecompositionQuality {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        Ok(DecompositionQuality {
-            phi: dec.f64()?,
-            phi_exact: dec.bool()?,
-            gamma: dec.f64()?,
-            rho: dec.f64()?,
-            cut_fraction: dec.f64()?,
-            max_cluster_size: dec.usize_()?,
-            num_clusters: dec.usize_()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
-    use hicond_artifact::{decode_exact, encode_to_vec};
-
-    #[test]
-    fn graph_roundtrips_bitwise() {
-        let g = generators::grid2d(7, 7, |_, _| 1.0);
-        let bytes = encode_to_vec(&g);
-        let back: Graph = decode_exact(&bytes).unwrap();
-        assert_eq!(g.num_vertices(), back.num_vertices());
-        assert_eq!(g.num_edges(), back.num_edges());
-        for (a, b) in g.edges().iter().zip(back.edges()) {
-            assert_eq!(a.u, b.u);
-            assert_eq!(a.v, b.v);
-            assert_eq!(a.w.to_bits(), b.w.to_bits());
-        }
-        assert_eq!(graph_fingerprint(&g), graph_fingerprint(&back));
-    }
 
     #[test]
     fn fingerprint_distinguishes_content() {
@@ -225,97 +51,5 @@ mod tests {
         // Insertion order must NOT change the key.
         let g1b = Graph::from_edges(3, &[(2, 1, 1.0), (1, 0, 1.0)]);
         assert_eq!(f1, graph_fingerprint(&g1b));
-    }
-
-    #[test]
-    fn malformed_graph_bytes_rejected_not_panicked() {
-        let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 0.5)]);
-        let bytes = encode_to_vec(&g);
-        // Self-loop: rewrite first edge to (1, 1).
-        let mut bad = bytes.clone();
-        bad[16..20].copy_from_slice(&1u32.to_le_bytes());
-        bad[20..24].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            decode_exact::<Graph>(&bad),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Endpoint out of range.
-        let mut bad = bytes.clone();
-        bad[20..24].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            decode_exact::<Graph>(&bad),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Negative weight (flip the sign bit of edge 0's weight).
-        let mut bad = bytes.clone();
-        bad[31] ^= 0x80;
-        assert!(matches!(
-            decode_exact::<Graph>(&bad),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Absurd edge count.
-        let mut bad = bytes.clone();
-        bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(bad.len() < 100); // stays cheap: no allocation happens
-        assert!(decode_exact::<Graph>(&bad).is_err());
-        // All truncations fail structurally.
-        for cut in 0..bytes.len() {
-            assert!(decode_exact::<Graph>(&bytes[..cut]).is_err());
-        }
-    }
-
-    #[test]
-    fn partition_roundtrips_and_rejects_sparse_ids() {
-        let p = Partition::from_assignment(vec![0, 0, 1, 2, 1], 3);
-        let back: Partition = decode_exact(&encode_to_vec(&p)).unwrap();
-        assert_eq!(p, back);
-        // Sparse (cluster 1 empty) must be rejected.
-        let sparse = Partition::from_assignment(vec![0, 0, 2], 3);
-        assert!(matches!(
-            decode_exact::<Partition>(&encode_to_vec(&sparse)),
-            Err(ArtifactError::Malformed(_))
-        ));
-        // Out-of-range id: first assignment entry lives after the
-        // num_clusters u64 and the slice length u64.
-        let bytes = encode_to_vec(&p);
-        let mut bad = bytes.clone();
-        bad[16..20].copy_from_slice(&77u32.to_le_bytes());
-        assert!(matches!(
-            decode_exact::<Partition>(&bad),
-            Err(ArtifactError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn quality_structs_roundtrip() {
-        let q = DecompositionQuality {
-            phi: 0.25,
-            phi_exact: true,
-            gamma: 0.1,
-            rho: 3.5,
-            cut_fraction: 0.2,
-            max_cluster_size: 17,
-            num_clusters: 4,
-        };
-        let back: DecompositionQuality = decode_exact(&encode_to_vec(&q)).unwrap();
-        assert_eq!(q.phi.to_bits(), back.phi.to_bits());
-        assert_eq!(q.num_clusters, back.num_clusters);
-
-        let cq = ClusterQuality {
-            size: 9,
-            boundary_edges: 3,
-            conductance: ConductanceEstimate {
-                lower: 0.2,
-                upper: 0.4,
-                exact: false,
-            },
-            min_gamma: 0.05,
-        };
-        let back: ClusterQuality = decode_exact(&encode_to_vec(&cq)).unwrap();
-        assert_eq!(cq.size, back.size);
-        assert_eq!(
-            cq.conductance.upper.to_bits(),
-            back.conductance.upper.to_bits()
-        );
     }
 }

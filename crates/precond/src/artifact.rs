@@ -136,7 +136,6 @@ impl Decode for GroundedLaplacianSolver {
 
 impl Encode for MlLevel {
     fn encode(&self, enc: &mut Encoder) {
-        self.lap.encode(enc);
         enc.put_f64_slice(&self.inv_d);
         enc.put_u32_slice(&self.assignment);
         enc.put_usize(self.num_clusters);
@@ -145,21 +144,12 @@ impl Encode for MlLevel {
 
 impl Decode for MlLevel {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let lap = CsrMatrix::decode(dec)?;
         let inv_d = dec.f64_vec()?;
         let assignment = dec.u32_vec()?;
         let num_clusters = dec.usize_()?;
-        let n = lap.nrows();
-        if lap.ncols() != n {
+        if inv_d.len() != assignment.len() {
             return Err(ArtifactError::Malformed(format!(
-                "level Laplacian is {}x{}, not square",
-                n,
-                lap.ncols()
-            )));
-        }
-        if inv_d.len() != n || assignment.len() != n {
-            return Err(ArtifactError::Malformed(format!(
-                "level arrays disagree: lap {n}, inv_d {}, assignment {}",
+                "level arrays disagree: inv_d {}, assignment {}",
                 inv_d.len(),
                 assignment.len()
             )));
@@ -172,7 +162,6 @@ impl Decode for MlLevel {
             }
         }
         Ok(MlLevel {
-            lap,
             inv_d,
             assignment,
             num_clusters,
@@ -182,9 +171,9 @@ impl Decode for MlLevel {
 
 impl Encode for MultilevelSteiner {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_usize(self.n);
         enc.put_bool(self.smoothing);
         enc.put_f64(self.omega);
+        self.laps.encode(enc);
         self.levels.encode(enc);
         self.coarse.encode(enc);
     }
@@ -192,20 +181,39 @@ impl Encode for MultilevelSteiner {
 
 impl Decode for MultilevelSteiner {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let n = dec.usize_()?;
         let smoothing = dec.bool()?;
         let omega = dec.f64()?;
+        let laps: Vec<CsrMatrix> = Vec::decode(dec)?;
         let levels: Vec<MlLevel> = Vec::decode(dec)?;
         let coarse = GroundedLaplacianSolver::decode(dec)?;
-        // The cycle() recursion hands each level's coarse vector (length
-        // num_clusters) to the next level as its residual, so the chain of
-        // dimensions must be consistent end to end.
-        let mut expect = n;
-        for (i, level) in levels.iter().enumerate() {
-            if level.lap.nrows() != expect {
+        // One Laplacian per smoothing level, and level 0's always: it is
+        // the operator PCG solves with.
+        if laps.len() != levels.len().max(1) {
+            return Err(ArtifactError::Malformed(format!(
+                "{} level Laplacians for {} levels",
+                laps.len(),
+                levels.len()
+            )));
+        }
+        for (i, lap) in laps.iter().enumerate() {
+            if lap.ncols() != lap.nrows() {
                 return Err(ArtifactError::Malformed(format!(
-                    "level {i} has {} vertices, expected {expect}",
-                    level.lap.nrows()
+                    "level {i} Laplacian is {}x{}, not square",
+                    lap.nrows(),
+                    lap.ncols()
+                )));
+            }
+        }
+        // The walk hands each level's coarse vector (length num_clusters)
+        // to the next level as its residual, so the chain of dimensions
+        // must be consistent end to end.
+        let mut expect = laps.first().map_or(0, CsrMatrix::nrows);
+        for (i, (level, lap)) in levels.iter().zip(&laps).enumerate() {
+            if lap.nrows() != expect || level.inv_d.len() != expect {
+                return Err(ArtifactError::Malformed(format!(
+                    "level {i} has {} vertices and {} inverse degrees, expected {expect}",
+                    lap.nrows(),
+                    level.inv_d.len()
                 )));
             }
             expect = level.num_clusters;
@@ -217,11 +225,11 @@ impl Decode for MultilevelSteiner {
             )));
         }
         Ok(MultilevelSteiner {
+            laps,
             levels,
             coarse,
             smoothing,
             omega,
-            n,
             walk_ws: std::sync::Mutex::new(Vec::new()),
         })
     }
@@ -229,7 +237,6 @@ impl Decode for MultilevelSteiner {
 
 impl Encode for LaplacianSolver {
     fn encode(&self, enc: &mut Encoder) {
-        self.lap.encode(enc);
         self.pre.encode(enc);
         enc.put_u32_slice(&self.comp_labels);
         enc.put_usize(self.num_components);
@@ -239,25 +246,11 @@ impl Encode for LaplacianSolver {
 
 impl Decode for LaplacianSolver {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, ArtifactError> {
-        let lap = CsrMatrix::decode(dec)?;
         let pre = MultilevelSteiner::decode(dec)?;
         let comp_labels = dec.u32_vec()?;
         let num_components = dec.usize_()?;
         let opts = SolverOptions::decode(dec)?;
-        let n = lap.nrows();
-        if lap.ncols() != n {
-            return Err(ArtifactError::Malformed(format!(
-                "solver Laplacian is {}x{}, not square",
-                n,
-                lap.ncols()
-            )));
-        }
-        if pre.n != n {
-            return Err(ArtifactError::Malformed(format!(
-                "preconditioner covers {} vertices, Laplacian has {n}",
-                pre.n
-            )));
-        }
+        let n = pre.operator().nrows();
         if comp_labels.len() != n {
             return Err(ArtifactError::Malformed(format!(
                 "{} component labels for {n} vertices",
@@ -289,7 +282,6 @@ impl Decode for LaplacianSolver {
             )));
         }
         Ok(LaplacianSolver {
-            lap,
             pre,
             comp_labels,
             num_components,
@@ -404,20 +396,38 @@ mod tests {
 
     #[test]
     fn solver_roundtrips_to_identical_solutions() {
-        let g = sample_graph();
-        let opts = small_opts();
-        let built = LaplacianSolver::new(&g, &opts);
-        let bytes = encode_solver(&built);
-        let loaded = decode_solver(&bytes).unwrap();
-        let b = consistent_rhs(g.num_vertices());
-        let s1 = built.solve(&b).unwrap();
-        let s2 = loaded.solve(&b).unwrap();
-        assert_eq!(s1.iterations, s2.iterations);
-        assert_eq!(
-            s1.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            s2.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "loaded solver must be bitwise identical"
-        );
+        // A multi-level hierarchy, and a coarse-only one (20 vertices under
+        // the default coarse size), whose level-0 Laplacian is the only
+        // matrix the preconditioner holds besides the coarse factors.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases = [
+            (sample_graph(), small_opts(), false),
+            (
+                generators::path(20, |_| 1.0),
+                SolverOptions::default(),
+                true,
+            ),
+        ];
+        for (g, opts, coarse_only) in &cases {
+            let built = LaplacianSolver::new(g, opts);
+            let loaded = decode_solver(&encode_solver(&built)).unwrap();
+            let n = g.num_vertices();
+            assert_eq!(built.num_levels() == 1, *coarse_only, "n={n}");
+            assert_eq!(loaded.num_levels(), built.num_levels(), "n={n}");
+            let (a, b) = (built.pre.operator(), loaded.pre.operator());
+            assert_eq!(a.row_ptr(), b.row_ptr(), "n={n}");
+            assert_eq!(a.col_idx(), b.col_idx(), "n={n}");
+            assert_eq!(bits(a.values()), bits(b.values()), "n={n}");
+            let rhs = consistent_rhs(n);
+            let s1 = built.solve(&rhs).unwrap();
+            let s2 = loaded.solve(&rhs).unwrap();
+            assert_eq!(s1.iterations, s2.iterations, "n={n}");
+            assert_eq!(
+                bits(&s1.x),
+                bits(&s2.x),
+                "n={n}: loaded solver must be bitwise identical"
+            );
+        }
     }
 
     #[test]

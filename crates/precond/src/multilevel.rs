@@ -84,7 +84,6 @@ impl Default for MultilevelOptions {
 }
 
 pub(crate) struct MlLevel {
-    pub(crate) lap: CsrMatrix,
     pub(crate) inv_d: Vec<f64>,
     pub(crate) assignment: Vec<u32>,
     pub(crate) num_clusters: usize,
@@ -150,8 +149,9 @@ impl WalkWs {
             self.levels = m
                 .levels
                 .iter()
-                .map(|l| {
-                    let n = l.lap.nrows();
+                .zip(&m.laps)
+                .map(|(l, a)| {
+                    let n = a.nrows();
                     LevelWs {
                         v1: vec![0.0; n],
                         res: vec![0.0; n],
@@ -213,11 +213,15 @@ pub struct LevelNs {
 
 /// Multilevel Steiner preconditioner.
 pub struct MultilevelSteiner {
+    /// Level Laplacians: `laps[ℓ]` belongs to `levels[ℓ]`. The first entry
+    /// exists for every hierarchy, coarse-only included: it is the input
+    /// graph's Laplacian, the [`operator`](Self::operator) this
+    /// preconditions.
+    pub(crate) laps: Vec<CsrMatrix>,
     pub(crate) levels: Vec<MlLevel>,
     pub(crate) coarse: GroundedLaplacianSolver,
     pub(crate) smoothing: bool,
     pub(crate) omega: f64,
-    pub(crate) n: usize,
     /// Free list of walk workspaces; see [`WalkWs`]. Never serialized —
     /// the artifact codec rebuilds an empty list on decode.
     pub(crate) walk_ws: Mutex<Vec<WalkWs>>,
@@ -237,15 +241,20 @@ impl MultilevelSteiner {
     pub fn from_hierarchy(g: &Graph, h: &Hierarchy, opts: &MultilevelOptions) -> Self {
         let _span = hicond_obs::span("assemble");
         assert_eq!(h.levels[0].graph.num_vertices(), g.num_vertices());
+        let smoothed = &h.levels[..h.levels.len() - 1];
+        // Level 0's Laplacian is g's, kept even when level 0 is the
+        // coarsest: it is the operator this preconditions.
+        let laps = std::iter::once(laplacian(g))
+            .chain(smoothed.iter().skip(1).map(|l| laplacian(&l.graph)))
+            .collect();
         let mut levels = Vec::new();
-        for level in &h.levels[..h.levels.len() - 1] {
+        for level in smoothed {
             let p = level
                 .partition
                 .as_ref()
                 // audit: allow(panic-path) — build_hierarchy guarantees non-coarsest levels carry partitions
                 .expect("non-coarsest level must carry a partition");
             levels.push(MlLevel {
-                lap: laplacian(&level.graph),
                 inv_d: level
                     .graph
                     .volumes()
@@ -262,11 +271,11 @@ impl MultilevelSteiner {
             opts.hierarchy.coarse_size.max(coarse_graph.num_vertices()),
         );
         MultilevelSteiner {
+            laps,
             levels,
             coarse,
             smoothing: opts.smoothing,
             omega: opts.omega,
-            n: g.num_vertices(),
             walk_ws: Mutex::new(Vec::new()),
         }
     }
@@ -276,6 +285,13 @@ impl MultilevelSteiner {
         self.levels.len() + 1
     }
 
+    /// The level-0 Laplacian: the operator this preconditions, and the
+    /// one PCG solves with.
+    pub fn operator(&self) -> &CsrMatrix {
+        // reach: allow(reach-index, laps[0] exists for every hierarchy: from_hierarchy pushes it first, and decode rejects a payload that lacks it)
+        &self.laps[0]
+    }
+
     /// The allocating recursive V-cycle: the test reference that
     /// [`Self::cycle_into`] is held to bit for bit.
     #[cfg(test)]
@@ -283,7 +299,7 @@ impl MultilevelSteiner {
         if level == self.levels.len() {
             return self.coarse.solve(r);
         }
-        let l = &self.levels[level];
+        let (l, a) = (&self.levels[level], &self.laps[level]);
         let restrict = |res: &[f64]| -> Vec<f64> {
             let mut out = vec![0.0; l.num_clusters];
             for (v, &c) in l.assignment.iter().enumerate() {
@@ -304,13 +320,13 @@ impl MultilevelSteiner {
         let n = r.len();
         let mut v1: Vec<f64> = (0..n).map(|v| self.omega * l.inv_d[v] * r[v]).collect();
         let mut av = vec![0.0; n];
-        l.lap.spmv_into(&v1, &mut av);
+        a.spmv_into(&v1, &mut av);
         let r2: Vec<f64> = (0..n).map(|v| r[v] - av[v]).collect();
         let coarse = self.cycle(level + 1, &restrict(&r2));
         for (v, val) in v1.iter_mut().enumerate() {
             *val += coarse[l.assignment[v] as usize];
         }
-        l.lap.spmv_into(&v1, &mut av);
+        a.spmv_into(&v1, &mut av);
         (0..n)
             .map(|v| v1[v] + self.omega * l.inv_d[v] * (r[v] - av[v]))
             .collect()
@@ -345,7 +361,7 @@ impl MultilevelSteiner {
             self.coarse.solve_into(r, out, coarse_scratch);
             return partials.map(|p| dot_with_scratch(r, out, p));
         }
-        let l = &self.levels[level];
+        let (l, a) = (&self.levels[level], &self.laps[level]);
         let (lw, rest) = ws
             .split_first_mut()
             // audit: allow(panic-path) — WalkWs::ensure sizes one entry per level
@@ -363,10 +379,10 @@ impl MultilevelSteiner {
             return partials.map(|p| dot_with_scratch(r, out, p));
         }
         // V-cycle with damped Jacobi smoothing.
-        self.sweep1(l, r, lw);
+        self.sweep1(l, a, r, lw);
         self.cycle_into(level + 1, &lw.rc, &mut lw.co, rest, coarse_scratch, None);
         prolong(l, lw);
-        self.sweep2(l, r, out, lw, partials)
+        self.sweep2(l, a, r, out, lw, partials)
     }
 
     /// Sweep 1 of a V-cycle level: `v₁ = ωD⁻¹r` (one zip pass), then the
@@ -374,8 +390,8 @@ impl MultilevelSteiner {
     /// `lw.res`, then the restriction of `lw.res` into `lw.rc`. The
     /// restriction adds the summands in increasing row order — the order
     /// is part of the bits, so it never runs in parallel.
-    fn sweep1(&self, l: &MlLevel, r: &[f64], lw: &mut LevelWs) {
-        let cl = chunk_len(l.lap.nrows());
+    fn sweep1(&self, l: &MlLevel, a: &CsrMatrix, r: &[f64], lw: &mut LevelWs) {
+        let cl = chunk_len(a.nrows());
         for ((v, &d), &rv) in lw.v1.iter_mut().zip(&l.inv_d).zip(r) {
             *v = self.omega * d * rv;
         }
@@ -383,7 +399,7 @@ impl MultilevelSteiner {
         lw.res
             .par_chunks_mut(cl)
             .enumerate()
-            .for_each(|(c, res)| residual(&l.lap, r, v1, c * cl, res));
+            .for_each(|(c, res)| residual(a, r, v1, c * cl, res));
         lw.rc.fill(0.0);
         scatter_add(&l.assignment, &lw.res, &mut lw.rc);
     }
@@ -398,12 +414,13 @@ impl MultilevelSteiner {
     fn sweep2(
         &self,
         l: &MlLevel,
+        a: &CsrMatrix,
         r: &[f64],
         out: &mut [f64],
         lw: &mut LevelWs,
         partials: Option<&mut [f64]>,
     ) -> Option<f64> {
-        let n = l.lap.nrows();
+        let n = a.nrows();
         let (cl, nc) = (chunk_len(n), num_chunks(n));
         let omega = self.omega;
         // The value `Sum` folds from, so partials match `dot`'s bit for bit.
@@ -426,7 +443,7 @@ impl MultilevelSteiner {
                     .zip(&r[rows.clone()])
                     .zip(&l.inv_d[rows.clone()])
                     .zip(&v2[rows.clone()]);
-                l.lap.sweep_rows(v2, rows, |s| {
+                a.sweep_rows(v2, rows, |s| {
                     if let Some((((z, &r), &d), &v)) = row.next() {
                         *z = v + omega * d * (r - s);
                         acc += r * *z;
@@ -472,20 +489,20 @@ impl MultilevelSteiner {
         r: &[f64],
         mut time: impl FnMut(&mut dyn FnMut()) -> u64,
     ) -> Vec<LevelNs> {
-        assert_eq!(r.len(), self.n, "walk_ledger: r length");
+        assert_eq!(r.len(), self.dim(), "walk_ledger: r length");
         let mut ws = WalkWs::default();
         ws.ensure(self);
         // One full walk leaves every level's restricted residual and
         // coarse correction in the workspace.
-        let mut z = vec![0.0; self.n];
+        let mut z = vec![0.0; self.dim()];
         self.cycle_into(0, r, &mut z, &mut ws.levels, &mut ws.coarse, None);
         let mut rows = Vec::with_capacity(self.levels.len() + 1);
-        for (level, l) in self.levels.iter().enumerate() {
+        for (level, (l, a)) in self.levels.iter().zip(&self.laps).enumerate() {
             let (above, here) = ws.levels.split_at_mut(level);
-            let rl = above.last().map_or(r, |a| &a.rc[..]);
+            let rl = above.last().map_or(r, |w| &w.rc[..]);
             let Some(lw) = here.first_mut() else { break };
-            let n = l.lap.nrows();
-            let sweep1 = time(&mut || self.sweep1(l, rl, lw));
+            let n = a.nrows();
+            let sweep1 = time(&mut || self.sweep1(l, a, rl, lw));
             // Sweep 1 leaves its residual in `lw.res`.
             let restrict = time(&mut || {
                 lw.rc.fill(0.0);
@@ -496,11 +513,11 @@ impl MultilevelSteiner {
             let prolong = time(&mut || prolong(l, lw));
             let mut out = vec![0.0; n];
             let sweep2 = time(&mut || {
-                self.sweep2(l, rl, &mut out, lw, None);
+                self.sweep2(l, a, rl, &mut out, lw, None);
             });
             rows.push(LevelNs {
                 rows: n,
-                nnz: l.lap.nnz(),
+                nnz: a.nnz(),
                 sweep1,
                 restrict,
                 prolong,
@@ -530,12 +547,13 @@ fn prolong(l: &MlLevel, lw: &mut LevelWs) {
 
 impl Preconditioner for MultilevelSteiner {
     fn dim(&self) -> usize {
-        self.n
+        self.operator().nrows()
     }
 
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "multilevel apply: r length");
-        assert_eq!(z.len(), self.n, "multilevel apply: z length");
+        let n = self.dim();
+        assert_eq!(r.len(), n, "multilevel apply: r length");
+        assert_eq!(z.len(), n, "multilevel apply: z length");
         self.walk(r, z, None);
     }
 
@@ -543,8 +561,9 @@ impl Preconditioner for MultilevelSteiner {
     /// `dot_with_scratch` pass when level 0 has no such sweep: the
     /// additive cycle, a coarse-only hierarchy).
     fn apply_dot_into(&self, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
-        assert_eq!(r.len(), self.n, "multilevel apply: r length");
-        assert_eq!(z.len(), self.n, "multilevel apply: z length");
+        let n = self.dim();
+        assert_eq!(r.len(), n, "multilevel apply: r length");
+        assert_eq!(z.len(), n, "multilevel apply: z length");
         // A walk handed the partials always returns its rᵀz.
         self.walk(r, z, Some(partials)).unwrap_or(f64::NAN)
     }

@@ -20,9 +20,9 @@
 //! ```
 
 use crate::multilevel::{MultilevelOptions, MultilevelSteiner};
-use hicond_graph::{laplacian, Graph};
+use hicond_graph::Graph;
+use hicond_linalg::block_pcg_solve;
 use hicond_linalg::cg::CgOptions;
-use hicond_linalg::{block_pcg_solve, CsrMatrix};
 
 /// Options for [`LaplacianSolver`].
 #[derive(Debug, Clone, Copy)]
@@ -107,9 +107,10 @@ pub struct Solution {
     pub rel_residual: f64,
 }
 
-/// Reusable Laplacian solver: one setup, many right-hand sides.
+/// Reusable Laplacian solver: one setup, many right-hand sides. The
+/// system matrix is the preconditioner's level-0 Laplacian
+/// ([`MultilevelSteiner::operator`]), held once.
 pub struct LaplacianSolver {
-    pub(crate) lap: CsrMatrix,
     pub(crate) pre: MultilevelSteiner,
     pub(crate) comp_labels: Vec<u32>,
     pub(crate) num_components: usize,
@@ -121,7 +122,6 @@ impl LaplacianSolver {
     pub fn new(g: &Graph, opts: &SolverOptions) -> Self {
         let (comp_labels, num_components) = hicond_graph::connectivity::connected_components(g);
         LaplacianSolver {
-            lap: laplacian(g),
             pre: MultilevelSteiner::new(g, &opts.multilevel),
             comp_labels,
             num_components,
@@ -131,7 +131,7 @@ impl LaplacianSolver {
 
     /// Number of vertices.
     pub fn dim(&self) -> usize {
-        self.lap.nrows()
+        self.pre.operator().nrows()
     }
 
     /// Number of hierarchy levels in the preconditioner.
@@ -245,7 +245,8 @@ impl LaplacianSolver {
             max_iter: self.opts.max_iter,
             record_residuals: record,
         };
-        let mut solved = block_pcg_solve(&self.lap, &self.pre, &projected, &opts).into_iter();
+        let mut solved =
+            block_pcg_solve(self.pre.operator(), &self.pre, &projected, &opts).into_iter();
         checked
             .into_iter()
             .map(|c| {
@@ -287,7 +288,7 @@ impl LaplacianSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hicond_graph::generators;
+    use hicond_graph::{generators, laplacian};
     use hicond_linalg::vector::{deflate_constant, norm2};
     use hicond_linalg::LinearOperator;
 

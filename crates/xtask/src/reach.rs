@@ -113,16 +113,11 @@ pub const ENTRY_POINTS: &[EntryPoint] = &[
         "verify",
         "store-wide verification walk over on-disk entries",
     ),
-    entry("graph", "decode", "graph / partition artifact payloads"),
     entry("graph", "read_edge_list", "edge-list text from the CLI"),
     entry("graph", "read_metis", "METIS text from the CLI"),
     entry("graph", "read_dimacs", "DIMACS text from the CLI"),
     entry("linalg", "decode", "matrix / factor artifact payloads"),
-    entry(
-        "core",
-        "decode",
-        "decomposition / hierarchy artifact payloads",
-    ),
+    entry("core", "decode", "hierarchy option payloads"),
     entry("precond", "decode", "preconditioner artifact payloads"),
     entry("precond", "decode_solver", "full solver artifact container"),
     entry("hicond", "respond", "one `hicond serve` request line"),

@@ -75,7 +75,7 @@ grep -q '"batch"' target/bench_smoke.json
 # per-level table was emitted.
 grep -q '"walk_levels"' target/bench_smoke.json
 
-step "artifact cache round-trip smoke (build -> corrupt -> reject -> rebuild -> solve)"
+step "artifact cache round-trip smoke (build -> corrupt -> reject -> rebuild -> solve; a multi-level grid)"
 rm -rf target/cache_smoke && mkdir -p target/cache_smoke
 printf '6 6\n0 1 1.0\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n0 5 1.0\n' > target/cache_smoke/ring.txt
 export HICOND_CACHE_DIR=target/cache_smoke/cache
@@ -107,6 +107,30 @@ printf '1 0 0 0 0 -1\nquit\n' | \
   cargo run --release --offline -q --bin hicond -- serve target/cache_smoke/ring.txt \
   > "$smoke_out"
 grep -q "^ok " "$smoke_out"
+# The ring's hierarchy is coarse-only. A 24x24 grid (n = 576, above the
+# 200-vertex coarse size) has several levels, so the level-0 Laplacian the
+# solver shares with its preconditioner goes through store and load too:
+# build -> verify -> load, and the loaded solve must print what the built
+# one did.
+awk 'BEGIN { s = 24; print s * s, 2 * s * (s - 1)
+  for (r = 0; r < s; r++) for (c = 0; c < s; c++) {
+    v = r * s + c
+    if (c + 1 < s) print v, v + 1, "1.0"
+    if (r + 1 < s) print v, v + s, "1.0"
+  } }' > target/cache_smoke/grid24.txt
+export HICOND_CACHE_DIR=target/cache_smoke/grid_cache
+cargo run --release --offline -q --bin hicond -- solve target/cache_smoke/grid24.txt --demo --cached \
+  > "$smoke_out" 2>&1
+grep -q "built and cached" "$smoke_out"
+grep -v "^preconditioner " "$smoke_out" > target/cache_smoke/grid_built.txt
+grep -q "^hierarchy levels: [2-9]" target/cache_smoke/grid_built.txt
+cargo run --release --offline -q --bin hicond -- cache verify
+cargo run --release --offline -q --bin hicond -- solve target/cache_smoke/grid24.txt --demo --cached \
+  > "$smoke_out" 2>&1
+grep -q "loaded from cache" "$smoke_out"
+grep -v "^preconditioner " "$smoke_out" > target/cache_smoke/grid_loaded.txt
+grep -q "^converged in " target/cache_smoke/grid_loaded.txt
+cmp target/cache_smoke/grid_built.txt target/cache_smoke/grid_loaded.txt
 unset HICOND_CACHE_DIR
 
 step "telemetry smoke (metrics scrapes -> hicond top --check, forced panic black box)"

@@ -131,6 +131,7 @@ fn finish_line(mut buf: Vec<u8>) -> String {
 }
 
 /// Everything a session needs, shared across the server.
+#[derive(Clone)]
 pub struct ServeConfig {
     /// Solver dimension (trusted; from the operator's graph).
     pub n: usize,
@@ -186,11 +187,7 @@ pub fn serve_tcp(
                 let queue = Arc::clone(queue);
                 let stats = Arc::clone(stats);
                 let replies = Arc::clone(&replies);
-                let conn_cfg = ServeConfig {
-                    n: cfg.n,
-                    max_line: cfg.max_line,
-                    read_timeout: cfg.read_timeout,
-                };
+                let conn_cfg = cfg.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("serve-conn-{connections}"))
                     .spawn(move || {

@@ -154,3 +154,17 @@ fn corrupt_cache_entry_is_rejected_then_rebuilt() {
     assert!(cache.verify().unwrap().bad.is_empty());
     let _ = std::fs::remove_dir_all(cache.dir());
 }
+
+#[test]
+fn a_solver_artifact_stores_its_laplacian_once() {
+    // The solver's operator is the preconditioner's level-0 Laplacian, so
+    // the artifact carries that matrix once. A second copy of it is
+    // 622,128 bytes of the 96² grid's artifact and 358,448 of oct16's.
+    let opts = SolverOptions::default();
+    let grid = generators::grid2d(96, 96, |_, _| 1.0);
+    let oct = generators::oct_like_grid3d(16, 16, 16, 42, generators::OctParams::default());
+    for (name, g, bound) in [("grid 96²", &grid, 1_195_197), ("oct16", &oct, 674_245)] {
+        let bytes = encode_solver(&LaplacianSolver::new(g, &opts)).len();
+        assert!(bytes <= bound, "{name}: {bytes} bytes, bound {bound}");
+    }
+}
