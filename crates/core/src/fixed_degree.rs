@@ -188,32 +188,55 @@ fn build_flat_forest(g: &Graph, picks: &[u32]) -> FlatForest {
     }
 }
 
-/// Step 3 on the flat forest: bottom-up pending-set packing per tree, with
+/// Step 3's state for one preorder position. Each tree's segment is split
+/// in place on its own slice of one `n`-length buffer, and `next`/`tail`
+/// hold positions inside that segment.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Next member of the pending list this position belongs to.
+    next: u32,
+    /// Last member of the pending list this position heads.
+    tail: u32,
+    /// Size of the pending list this position heads.
+    size: u32,
+    /// Cluster id inside the segment.
+    assign: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    next: NONE,
+    tail: NONE,
+    size: 1,
+    assign: NONE,
+};
+
+/// Step 3 on the flat forest: bottom-up pending-set packing of the tree
+/// whose preorder segment starts at `start` and covers `slots`, with
 /// pending sets as intrusive linked lists (no per-vertex allocation).
-/// Returns per-segment local assignments and cluster counts.
-fn split_segment(forest: &FlatForest, (start, end): (u32, u32), k: usize) -> (Vec<u32>, u32) {
-    let (start, end) = (start as usize, end as usize);
-    let len = end - start;
-    let preorder = &forest.preorder[start..end];
-    // Local state, indexed by position-in-segment.
-    let mut list_next = vec![NONE; len];
-    let head: Vec<u32> = (0..len as u32).collect();
-    let mut tail: Vec<u32> = (0..len as u32).collect();
-    let mut size = vec![1u32; len];
-    let mut assign = vec![NONE; len];
+/// Leaves each position's cluster id inside the segment in its slot and
+/// returns the segment's cluster count.
+fn split_segment(forest: &FlatForest, start: usize, slots: &mut [Slot], k: usize) -> u32 {
+    let len = slots.len();
+    let preorder = &forest.preorder[start..start + len];
+    for (i, slot) in slots.iter_mut().enumerate() {
+        *slot = Slot {
+            tail: i as u32,
+            ..EMPTY_SLOT
+        };
+    }
     let mut clusters = 0u32;
     let emit_threshold = (k / 2).max(2) as u32;
 
-    let emit =
-        |local: usize, head: &[u32], list_next: &[u32], assign: &mut [u32], clusters: &mut u32| {
-            let id = *clusters;
-            *clusters += 1;
-            let mut cur = head[local];
-            while cur != NONE {
-                assign[cur as usize] = id;
-                cur = list_next[cur as usize];
-            }
-        };
+    let emit = |head: usize, slots: &mut [Slot], clusters: &mut u32| {
+        let id = *clusters;
+        *clusters += 1;
+        let mut cur = head as u32;
+        while cur != NONE {
+            let slot = &mut slots[cur as usize];
+            slot.assign = id;
+            cur = slot.next;
+        }
+    };
 
     // Children before parents: reverse preorder. Each vertex, once its own
     // pending is final, either emits it or pushes it into its parent's.
@@ -222,33 +245,34 @@ fn split_segment(forest: &FlatForest, (start, end): (u32, u32), k: usize) -> (Ve
         let p = forest.parent[v];
         debug_assert!(p != NONE);
         let pl = (forest.pos[p as usize] as usize) - start;
-        let sz = size[i];
-        if sz >= emit_threshold || (size[pl] + sz > k as u32 && sz >= 2) {
-            emit(i, &head, &list_next, &mut assign, &mut clusters);
+        let sz = slots[i].size;
+        if sz >= emit_threshold || (slots[pl].size + sz > k as u32 && sz >= 2) {
+            emit(i, slots, &mut clusters);
         } else {
             // Merge into parent (always for stuck singles: connectivity
             // permits nothing else; overflow is bounded by the degree).
-            list_next[tail[pl] as usize] = head[i];
-            tail[pl] = tail[i];
-            size[pl] += sz;
+            let parent_tail = slots[pl].tail as usize;
+            slots[parent_tail].next = i as u32;
+            slots[pl].tail = slots[i].tail;
+            slots[pl].size += sz;
         }
     }
     // Root pending.
     if len > 0 {
-        if size[0] >= 2 || clusters == 0 {
-            emit(0, &head, &list_next, &mut assign, &mut clusters);
+        if slots[0].size >= 2 || clusters == 0 {
+            emit(0, slots, &mut clusters);
         } else {
             // Lone root: fold into the cluster of any kept neighbor.
             let r = preorder[0];
             let nb = forest.any_neighbor[r as usize];
             debug_assert!(nb != NONE, "lone root with clusters must have a neighbor");
             let nb_local = (forest.pos[nb as usize] as usize) - start;
-            debug_assert!(assign[nb_local] != NONE);
-            assign[0] = assign[nb_local];
+            debug_assert!(slots[nb_local].assign != NONE);
+            slots[0].assign = slots[nb_local].assign;
         }
     }
-    debug_assert!(assign.iter().all(|&a| a != NONE));
-    (assign, clusters)
+    debug_assert!(slots.iter().all(|s| s.assign != NONE));
+    clusters
 }
 
 /// The full Section 3.1 pipeline: perturb → heaviest-edge forest → split.
@@ -267,30 +291,32 @@ pub fn decompose_fixed_degree(g: &Graph, opts: &FixedDegreeOptions) -> Partition
     };
     // Step 2: per-vertex heaviest incident edge.
     let picks = heaviest_incident_edges(g, &weights, opts.parallel);
-    // Step 3: flat forest + per-tree split.
+    // Step 3: flat forest + per-tree split, each tree on its own slice of
+    // one buffer indexed by preorder position (segments tile 0..n in order).
     let forest = build_flat_forest(g, &picks);
-    let seg_results: Vec<(Vec<u32>, u32)> = if opts.parallel {
-        forest
-            .segments
-            .par_iter()
-            .map(|&seg| split_segment(&forest, seg, opts.k))
-            .collect()
+    let mut slots = vec![EMPTY_SLOT; n];
+    let mut trees = Vec::with_capacity(forest.segments.len());
+    let mut rest = &mut slots[..];
+    for &(start, end) in &forest.segments {
+        debug_assert_eq!(n - rest.len(), start as usize);
+        let (tree, after) = rest.split_at_mut((end - start) as usize);
+        trees.push((start as usize, tree));
+        rest = after;
+    }
+    let split = |(start, tree): (usize, &mut [Slot])| split_segment(&forest, start, tree, opts.k);
+    let counts: Vec<u32> = if opts.parallel {
+        trees.into_par_iter().map(split).collect()
     } else {
-        forest
-            .segments
-            .iter()
-            .map(|&seg| split_segment(&forest, seg, opts.k))
-            .collect()
+        trees.into_iter().map(split).collect()
     };
-    // Scatter local assignments with per-segment offsets.
+    // Scatter the in-segment cluster ids, offset by the prefix sum of the
+    // earlier segments' cluster counts.
     let mut assignment = vec![NONE; n];
     let mut offset = 0u32;
-    for (seg, (local, count)) in forest.segments.iter().zip(&seg_results) {
-        let (start, end) = (seg.0 as usize, seg.1 as usize);
-        for (i, &a) in local.iter().enumerate() {
-            assignment[forest.preorder[start + i] as usize] = offset + a;
+    for (&(start, end), &count) in forest.segments.iter().zip(&counts) {
+        for p in start as usize..end as usize {
+            assignment[forest.preorder[p] as usize] = offset + slots[p].assign;
         }
-        debug_assert_eq!(local.len(), end - start);
         offset += count;
     }
     debug_assert!(assignment.iter().all(|&a| a != NONE));
@@ -376,22 +402,31 @@ mod tests {
 
     #[test]
     fn sequential_matches_parallel() {
-        let g = generators::grid2d(9, 9, |u, v| 1.0 + ((u + 3 * v) % 7) as f64);
-        let s = decompose_fixed_degree(
-            &g,
-            &FixedDegreeOptions {
-                parallel: false,
-                ..Default::default()
-            },
-        );
-        let p = decompose_fixed_degree(
-            &g,
-            &FixedDegreeOptions {
-                parallel: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(s.assignment(), p.assignment());
+        let grid = generators::grid2d(9, 9, |u, v| 1.0 + ((u + 3 * v) % 7) as f64);
+        // An OCT volume splits into hundreds of trees, so the parallel path
+        // hands the pool many disjoint segment slices at once.
+        let oct = generators::oct_like_grid3d(12, 12, 12, 5, generators::OctParams::default());
+        let w = perturb_weights(&oct, 1);
+        let trees = build_flat_forest(&oct, &heaviest_incident_edges(&oct, &w, false))
+            .segments
+            .len();
+        assert!(trees >= 100, "only {trees} trees");
+        for g in [&grid, &oct] {
+            for k in [2, 4, 8, 16] {
+                let opts = |parallel| FixedDegreeOptions {
+                    k,
+                    parallel,
+                    ..Default::default()
+                };
+                let s = decompose_fixed_degree(g, &opts(false));
+                for cap in [1, 2, 4] {
+                    let p = rayon::pool::with_thread_cap(cap, || {
+                        decompose_fixed_degree(g, &opts(true))
+                    });
+                    assert_eq!(s.assignment(), p.assignment(), "k = {k}, cap {cap}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl Graph {
     /// Panics on self-loops, out-of-range endpoints, or non-positive or
     /// non-finite weights.
     pub fn from_edges(n: usize, list: &[(usize, usize, f64)]) -> Self {
-        let mut b = GraphBuilder::new(n);
+        let mut b = GraphBuilder::with_capacity(n, list.len());
         for &(u, v, w) in list {
             b.add_edge(u, v, w);
         }
@@ -419,7 +419,10 @@ impl GraphBuilder {
             }
             edges.push(Edge { u, v, w });
         }
-        // Build CSR adjacency.
+        // Build CSR adjacency. The fill walks the merged edges in (u, v)
+        // order, so vertex x first receives its smaller neighbours (edges
+        // (a, x), a increasing) and then its larger ones (edges (x, b), b
+        // increasing): every row comes out sorted, as `adj-sorted` checks.
         let mut deg = vec![0usize; n + 1];
         for e in &edges {
             deg[e.u as usize + 1] += 1;
@@ -445,26 +448,6 @@ impl GraphBuilder {
             adj[pv] = e.u;
             adj_w[pv] = e.w;
             adj_eid[pv] = eid as u32;
-        }
-        // Sort each adjacency row by neighbor (edges were sorted by (u,v),
-        // so rows are sorted for the u-side but v-side rows need sorting).
-        for v in 0..n {
-            let lo = adj_ptr[v];
-            let hi = adj_ptr[v + 1];
-            let mut idx: Vec<usize> = (lo..hi).collect();
-            idx.sort_unstable_by_key(|&k| adj[k]);
-            let (na, nw, ne): (Vec<u32>, Vec<f64>, Vec<u32>) = idx
-                .iter()
-                .map(|&k| (adj[k], adj_w[k], adj_eid[k]))
-                .fold((vec![], vec![], vec![]), |mut acc, (a, w, e)| {
-                    acc.0.push(a);
-                    acc.1.push(w);
-                    acc.2.push(e);
-                    acc
-                });
-            adj[lo..hi].copy_from_slice(&na);
-            adj_w[lo..hi].copy_from_slice(&nw);
-            adj_eid[lo..hi].copy_from_slice(&ne);
         }
         let vol: Vec<f64> = (0..n)
             .map(|v| adj_w[adj_ptr[v]..adj_ptr[v + 1]].iter().sum())

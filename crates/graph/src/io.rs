@@ -59,6 +59,27 @@ fn checked_vertex_count(n: usize) -> std::io::Result<usize> {
     Ok(n)
 }
 
+/// Reads the next line of `r` into `line`, replacing what it held, and
+/// returns `false` at the end of the input. Every reader parses through
+/// one such buffer, so a file costs no allocation per line. The line keeps
+/// its `\n` or `\r\n` ending, which `trim` and `split_whitespace` drop;
+/// text that is not UTF-8 is an `InvalidData` error.
+fn next_line<R: BufRead>(r: &mut R, line: &mut String) -> std::io::Result<bool> {
+    line.clear();
+    Ok(r.read_line(line)? > 0)
+}
+
+/// [`next_line`] for METIS text, which skips comment lines (`%`). Every
+/// other line is a record, a blank one being a vertex without neighbours.
+fn next_metis_record<R: BufRead>(r: &mut R, line: &mut String) -> std::io::Result<bool> {
+    while next_line(r, line)? {
+        if !line.trim_start().starts_with('%') {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// Writes the native edge-list format.
 pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
     let mut buf = String::new();
@@ -74,13 +95,13 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
 
 /// Reads the native edge-list format.
 pub fn read_edge_list<R: Read>(r: R) -> std::io::Result<Graph> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "empty input"))??;
-    let mut parts = header.split_whitespace();
+    let mut reader = BufReader::new(r);
+    let mut line = String::new();
     let parse_err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
+    if !next_line(&mut reader, &mut line)? {
+        return Err(parse_err("empty input"));
+    }
+    let mut parts = line.split_whitespace();
     let n: usize = parts
         .next()
         .and_then(|s| s.parse().ok())
@@ -91,8 +112,7 @@ pub fn read_edge_list<R: Read>(r: R) -> std::io::Result<Graph> {
         .ok_or_else(|| parse_err("bad edge count"))?;
     let n = checked_vertex_count(n)?;
     let mut b = GraphBuilder::with_capacity(n, m.min(MAX_CAPACITY_HINT));
-    for line in lines {
-        let line = line?;
+    while next_line(&mut reader, &mut line)? {
         let t = line.trim();
         if t.is_empty() || t.starts_with('#') {
             continue;
@@ -140,15 +160,13 @@ pub fn write_metis<W: Write>(g: &Graph, weight_scale: f64, mut w: W) -> std::io:
 /// Reads a METIS graph file with edge weights (`fmt` containing the edge
 /// weight flag) or without. Weights are divided by `weight_scale`.
 pub fn read_metis<R: Read>(r: R, weight_scale: f64) -> std::io::Result<Graph> {
-    let reader = BufReader::new(r);
+    let mut reader = BufReader::new(r);
+    let mut line = String::new();
     let parse_err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let mut lines = reader
-        .lines()
-        .collect::<std::io::Result<Vec<String>>>()?
-        .into_iter()
-        .filter(|l| !l.trim_start().starts_with('%'));
-    let header = lines.next().ok_or_else(|| parse_err("empty metis file"))?;
-    let mut hp = header.split_whitespace();
+    if !next_metis_record(&mut reader, &mut line)? {
+        return Err(parse_err("empty metis file"));
+    }
+    let mut hp = line.split_whitespace();
     let n: usize = hp
         .next()
         .and_then(|s| s.parse().ok())
@@ -161,8 +179,8 @@ pub fn read_metis<R: Read>(r: R, weight_scale: f64) -> std::io::Result<Graph> {
     let has_edge_weights = fmt.ends_with('1');
     let n = checked_vertex_count(n)?;
     let mut b = GraphBuilder::with_capacity(n, m.min(MAX_CAPACITY_HINT));
-    for (v, line) in lines.enumerate() {
-        if v >= n {
+    for v in 0..n {
+        if !next_metis_record(&mut reader, &mut line)? {
             break;
         }
         let mut it = line.split_whitespace();
@@ -189,6 +207,9 @@ pub fn read_metis<R: Read>(r: R, weight_scale: f64) -> std::io::Result<Graph> {
             }
         }
     }
+    // Lines past the last vertex are not parsed, but like the rest of the
+    // file they must be readable text.
+    while next_line(&mut reader, &mut line)? {}
     // reach: trusted(the builder holds only edges that passed add_checked_edge and a vertex count bounded by checked_vertex_count, so the CSR construction is total)
     Ok(b.build())
 }
@@ -210,11 +231,11 @@ pub fn write_dimacs<W: Write>(g: &Graph, mut w: W) -> std::io::Result<()> {
 
 /// Reads DIMACS edge format (`c` comments, `p edge n m`, `e u v [w]`).
 pub fn read_dimacs<R: Read>(r: R) -> std::io::Result<Graph> {
-    let reader = BufReader::new(r);
+    let mut reader = BufReader::new(r);
+    let mut line = String::new();
     let parse_err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
     let mut builder: Option<(GraphBuilder, usize)> = None;
-    for line in reader.lines() {
-        let line = line?;
+    while next_line(&mut reader, &mut line)? {
         let t = line.trim();
         if t.is_empty() || t.starts_with('c') {
             continue;
@@ -434,6 +455,102 @@ mod tests {
         let text = "3 1000000000000000\n0 1 1.0\n";
         let g = read_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.num_edges(), 1);
+    }
+
+    /// Text variants that must read as the same graph as `clean`: CRLF
+    /// line endings, no newline after the last line (with either ending),
+    /// and `comment` lines — plus blank lines when `blank_between` — after
+    /// every line. A METIS file gets its blank lines at the end only,
+    /// since a blank line there is a vertex without neighbours.
+    fn variants(clean: &str, comment: &str, blank_between: bool) -> Vec<String> {
+        let crlf = clean.replace('\n', "\r\n");
+        let extra = if blank_between {
+            format!("{comment}\n\n")
+        } else {
+            format!("{comment}\n")
+        };
+        let interleaved: String = clean.lines().map(|l| format!("{l}\n{extra}")).collect();
+        vec![
+            crlf.clone(),
+            clean.trim_end_matches('\n').to_string(),
+            crlf.trim_end_matches("\r\n").to_string(),
+            interleaved.clone(),
+            interleaved.replace('\n', "\r\n"),
+            format!("{clean}\n\n"),
+        ]
+    }
+
+    fn assert_same_graph(g: &Graph, h: &Graph, what: &str) {
+        assert_eq!(g.num_vertices(), h.num_vertices(), "{what}");
+        assert_eq!(g.edges(), h.edges(), "{what}");
+    }
+
+    /// A weighted graph whose last vertex is isolated.
+    fn with_isolated_vertex() -> Graph {
+        Graph::from_edges(
+            6,
+            &[
+                (0, 1, 1.5),
+                (1, 2, 2.0),
+                (2, 0, 3.0),
+                (2, 3, 0.5),
+                (3, 4, 4.0),
+            ],
+        )
+    }
+
+    #[test]
+    fn edge_list_reads_crlf_unterminated_blank_and_comment_lines() {
+        let mut buf = Vec::new();
+        write_edge_list(&with_isolated_vertex(), &mut buf).unwrap();
+        let clean = String::from_utf8(buf).unwrap();
+        let g = read_edge_list(clean.as_bytes()).unwrap();
+        for (i, text) in variants(&clean, "# comment", true).iter().enumerate() {
+            let h = read_edge_list(text.as_bytes()).unwrap();
+            assert_same_graph(&g, &h, &format!("edge-list variant {i}"));
+        }
+    }
+
+    #[test]
+    fn metis_reads_crlf_unterminated_blank_and_comment_lines() {
+        let mut buf = Vec::new();
+        write_metis(&with_isolated_vertex(), 2.0, &mut buf).unwrap();
+        let clean = String::from_utf8(buf).unwrap();
+        // The isolated vertex is a blank record line.
+        assert!(clean.ends_with("\n\n"), "{clean:?}");
+        let g = read_metis(clean.as_bytes(), 2.0).unwrap();
+        assert_eq!(g.num_vertices(), 6);
+        for (i, text) in variants(&clean, "% comment", false).iter().enumerate() {
+            let h = read_metis(text.as_bytes(), 2.0).unwrap();
+            assert_same_graph(&g, &h, &format!("METIS variant {i}"));
+        }
+    }
+
+    #[test]
+    fn dimacs_reads_crlf_unterminated_blank_and_comment_lines() {
+        let mut buf = Vec::new();
+        write_dimacs(&with_isolated_vertex(), &mut buf).unwrap();
+        let clean = String::from_utf8(buf).unwrap();
+        let g = read_dimacs(clean.as_bytes()).unwrap();
+        for (i, text) in variants(&clean, "c comment", true).iter().enumerate() {
+            let h = read_dimacs(text.as_bytes()).unwrap();
+            assert_same_graph(&g, &h, &format!("DIMACS variant {i}"));
+        }
+    }
+
+    #[test]
+    fn readers_reject_invalid_utf8() {
+        let texts: [&[u8]; 3] = [
+            b"3 1\n0 1 1.0\n\xff\xfe\n",
+            b"3 1 0\n2\n1\n\n\xff\n",
+            b"p edge 3 1\ne 1 2\n\xff\n",
+        ];
+        let kinds = [
+            read_edge_list(texts[0]).unwrap_err().kind(),
+            read_metis(texts[1], 1.0).unwrap_err().kind(),
+            read_dimacs(texts[2]).unwrap_err().kind(),
+        ];
+        assert_eq!(kinds, [std::io::ErrorKind::InvalidData; 3]);
     }
 
     #[test]

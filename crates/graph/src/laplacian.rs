@@ -1,23 +1,42 @@
 //! Graph Laplacians and normalized-Laplacian scalings.
 
 use crate::graph::Graph;
-use hicond_linalg::{CooBuilder, CsrMatrix};
+use hicond_linalg::CsrMatrix;
 
 /// The Laplacian `A_G` of the graph: `A_ij = −w_ij`, `A_ii = Σ_j w_ij`
 /// (paper Section 2).
+///
+/// Each CSR row is emitted straight from the vertex's sorted adjacency,
+/// with the diagonal `vol(v)` placed before the first larger neighbour;
+/// isolated vertices get no diagonal entry. The builder has already
+/// merged parallel edges, so no entry needs summing.
 pub fn laplacian(g: &Graph) -> CsrMatrix {
     let n = g.num_vertices();
-    let mut b = CooBuilder::with_capacity(n, n, n + 2 * g.num_edges());
+    let diagonals = g.volumes().iter().filter(|&&vol| vol > 0.0).count();
+    let nnz = 2 * g.num_edges() + diagonals;
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    row_ptr.push(0);
     for v in 0..n {
         let vol = g.vol(v);
-        if vol > 0.0 {
-            b.push(v, v, vol);
+        let mut diagonal_due = vol > 0.0;
+        for (u, w, _) in g.neighbors(v) {
+            if diagonal_due && u > v {
+                col_idx.push(v as u32);
+                values.push(vol);
+                diagonal_due = false;
+            }
+            col_idx.push(u as u32);
+            values.push(-w);
         }
+        if diagonal_due {
+            col_idx.push(v as u32);
+            values.push(vol);
+        }
+        row_ptr.push(col_idx.len());
     }
-    for e in g.edges() {
-        b.push_sym(e.u as usize, e.v as usize, -e.w);
-    }
-    let a = b.build();
+    let a = CsrMatrix::from_parts(n, n, row_ptr, col_idx, values);
     a.debug_laplacian_invariants();
     a
 }

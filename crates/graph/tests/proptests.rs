@@ -4,6 +4,7 @@
 use hicond_graph::{
     closure_graph, cut_capacity, cut_sparsity, exact_conductance, laplacian, Graph, Partition,
 };
+use hicond_linalg::{CooBuilder, CsrMatrix};
 use proptest::prelude::*;
 
 /// A connected weighted graph on `n` vertices: random-tree backbone plus
@@ -138,6 +139,88 @@ proptest! {
                 prop_assert!((rtar.get(i, j) - ql.get(i, j)).abs() < 1e-9);
             }
         }
+    }
+}
+
+/// Raw builder input on `n` vertices whose last three never get an edge:
+/// random weighted pairs, each entered as given, reversed, or twice (once
+/// per orientation), then shuffled by random sort keys. Self-loops are
+/// dropped.
+fn messy_edge_list(n: usize) -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+    let m = n - 3;
+    prop::collection::vec(
+        (0..m, 0..m, 0.1..10.0f64, 0usize..3, any::<u64>()),
+        0..4 * n,
+    )
+    .prop_map(|draws| {
+        let mut keyed = Vec::new();
+        for (u, v, w, how, key) in draws {
+            if u == v {
+                continue;
+            }
+            match how {
+                0 => keyed.push((key, (u, v, w))),
+                1 => keyed.push((key, (v, u, w))),
+                _ => {
+                    keyed.push((key, (u, v, w)));
+                    keyed.push((key.rotate_left(17), (v, u, 0.5 * w)));
+                }
+            }
+        }
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, e)| e).collect()
+    })
+}
+
+/// The Laplacian as the paper defines it, assembled through `CooBuilder`:
+/// `vol(v)` on the diagonal of every non-isolated vertex and `−w` at both
+/// mirrored positions of every edge, duplicates summed by the builder.
+fn coo_laplacian(g: &Graph) -> CsrMatrix {
+    let n = g.num_vertices();
+    let mut b = CooBuilder::with_capacity(n, n, n + 2 * g.num_edges());
+    for v in 0..n {
+        if g.vol(v) > 0.0 {
+            b.push(v, v, g.vol(v));
+        }
+    }
+    for e in g.edges() {
+        b.push_sym(e.u as usize, e.v as usize, -e.w);
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn laplacian_is_bit_equal_to_the_coo_assembly(edges in messy_edge_list(13)) {
+        let g = Graph::from_edges(13, &edges);
+        let (a, oracle) = (laplacian(&g), coo_laplacian(&g));
+        prop_assert_eq!(a.row_ptr(), oracle.row_ptr());
+        prop_assert_eq!(a.col_idx(), oracle.col_idx());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&a), bits(&oracle));
+        // The isolated vertices have empty rows.
+        for v in 10..13 {
+            prop_assert_eq!(a.row_ptr()[v], a.row_ptr()[v + 1]);
+        }
+    }
+
+    #[test]
+    fn builder_output_passes_invariants_on_messy_input(edges in messy_edge_list(12)) {
+        // `check_invariants` is compiled in every profile, so this holds
+        // the builder's sorted rows to account in release builds too.
+        let g = Graph::from_edges(12, &edges);
+        prop_assert!(g.check_invariants().is_ok());
+        let mut pairs: Vec<(usize, usize)> = edges
+            .iter()
+            .map(|&(u, v, _)| (u.min(v), u.max(v)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let built: Vec<(usize, usize)> =
+            g.edges().iter().map(|e| (e.u as usize, e.v as usize)).collect();
+        prop_assert_eq!(built, pairs);
     }
 }
 

@@ -131,6 +131,15 @@ grep -q "loaded from cache" "$smoke_out"
 grep -v "^preconditioner " "$smoke_out" > target/cache_smoke/grid_loaded.txt
 grep -q "^converged in " target/cache_smoke/grid_loaded.txt
 cmp target/cache_smoke/grid_built.txt target/cache_smoke/grid_loaded.txt
+# The same grid with CRLF line endings is the same graph: it hashes to the
+# same cache key, so the solve loads the entry the LF file built and
+# prints what the LF solve did.
+sed 's/$/\r/' target/cache_smoke/grid24.txt > target/cache_smoke/grid24_crlf.txt
+cargo run --release --offline -q --bin hicond -- solve target/cache_smoke/grid24_crlf.txt --demo --cached \
+  > "$smoke_out" 2>&1
+grep -q "loaded from cache" "$smoke_out"
+grep -v "^preconditioner " "$smoke_out" > target/cache_smoke/grid_crlf.txt
+cmp target/cache_smoke/grid_built.txt target/cache_smoke/grid_crlf.txt
 unset HICOND_CACHE_DIR
 
 step "telemetry smoke (metrics scrapes -> hicond top --check, forced panic black box)"
